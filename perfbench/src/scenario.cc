@@ -1,5 +1,7 @@
 #include "scenario.h"
 
+#include <unordered_map>
+#include <unordered_set>
 #include <variant>
 
 namespace perfbench {
@@ -57,28 +59,49 @@ smash::synth::StreamScenario make_stream_scenario(std::uint64_t seed,
   return scenario;
 }
 
-std::vector<LookupKey> make_key_catalog(const smash::synth::StreamScenario& scenario) {
-  std::vector<LookupKey> keys;
-  const auto add = [&keys](std::string host, std::string ip, LookupKey::Kind kind) {
-    keys.push_back({host, "", kind});
-    keys.push_back({std::move(host), std::move(ip), kind});
-  };
-  for (std::size_t k = 0; k < scenario.campaigns.size(); ++k) {
-    for (const auto& host : scenario.campaigns[k].servers) {
-      add(host, "198.51." + std::to_string(k) + ".1", LookupKey::Kind::kCampaign);
-    }
-  }
+LookupMix make_lookup_mix(const smash::synth::StreamScenario& scenario) {
+  std::unordered_set<std::string> campaign_hosts;
+  for (const auto& c : scenario.campaigns) campaign_hosts.insert(c.servers.begin(), c.servers.end());
+  std::unordered_map<std::string, std::string> resolved;  // host -> IP
   for (const auto& event : scenario.events) {
-    const auto* r = std::get_if<smash::stream::ResolutionEvent>(&event);
-    if (r != nullptr && benign_site(r->host) >= 0) {
-      add(r->host, r->ip, LookupKey::Kind::kBenign);
+    if (const auto* r = std::get_if<smash::stream::ResolutionEvent>(&event)) {
+      resolved.emplace(r->host, r->ip);
     }
   }
-  for (int u = 0; u < 200; ++u) {
-    add("unseen" + std::to_string(u) + ".net", "192.0.2." + std::to_string(u),
-        LookupKey::Kind::kUnseen);
+
+  LookupMix mix;
+  std::unordered_map<std::string, std::uint32_t> key_index;  // by host
+  const auto key_of = [&](const std::string& host) {
+    const auto [it, fresh] = key_index.emplace(host, static_cast<std::uint32_t>(mix.keys.size()));
+    if (fresh) {
+      const auto ip = resolved.find(host);
+      mix.keys.push_back({host, ip == resolved.end() ? "" : ip->second,
+                          campaign_hosts.count(host) ? LookupKey::Kind::kCampaign
+                                                     : LookupKey::Kind::kBenign});
+    }
+    return it->second;
+  };
+  // Events are in time order, so a client's open frame closes with its minute.
+  std::unordered_map<std::string, std::size_t> open_frame;  // client -> frame
+  std::uint64_t minute = 0;
+  for (const auto& event : scenario.events) {
+    const auto* r = std::get_if<smash::stream::RequestEvent>(&event);
+    if (r == nullptr) continue;
+    if (r->time_s / 60 != minute) {
+      minute = r->time_s / 60;
+      open_frame.clear();
+    }
+    const auto [it, fresh] = open_frame.emplace(r->client, mix.frames.size());
+    if (fresh) mix.frames.emplace_back();
+    mix.frames[it->second].push_back(key_of(r->host));
   }
-  return keys;
+
+  for (int u = 0; u < 200; ++u) {
+    mix.unseen.push_back(static_cast<std::uint32_t>(mix.keys.size()));
+    mix.keys.push_back({"unseen" + std::to_string(u) + ".net", "192.0.2." + std::to_string(u),
+                        LookupKey::Kind::kUnseen});
+  }
+  return mix;
 }
 
 }  // namespace perfbench

@@ -18,14 +18,28 @@ namespace perfbench {
 smash::synth::StreamScenario make_stream_scenario(std::uint64_t seed,
                                                   std::uint32_t days, bool smoke);
 
-// Lookup keys of the serve_mixed mix. `expect_benign` keys must never come
-// back malicious; campaign keys must match the published snapshot.
+// A lookup key of the serve_mixed mix. Benign and never-seen keys must never
+// come back malicious; campaign keys must match the published snapshot.
 struct LookupKey {
   std::string host;
   std::string ip;  // empty: host-only lookup
   enum class Kind : std::uint8_t { kCampaign, kBenign, kUnseen } kind = Kind::kBenign;
 };
 
-std::vector<LookupKey> make_key_catalog(const smash::synth::StreamScenario& scenario);
+// The serve_mixed traffic, taken from the scenario. Each request event is a
+// lookup of its host, with the IP the scenario resolves that host to, or
+// host-only when the scenario never resolves it (the www. names of benign
+// sites). The requests of one client within one scenario minute form one
+// frame: a gateway in front of that client sends them as one kBatch, or as
+// a kLookup when there is one. Campaign, benign and host+IP shares thus
+// follow the generator. Never-seen hosts, each with a TEST-NET-1 address,
+// are added on top (the generator has none).
+struct LookupMix {
+  std::vector<LookupKey> keys;                     // distinct keys
+  std::vector<std::vector<std::uint32_t>> frames;  // key indices per scenario frame
+  std::vector<std::uint32_t> unseen;               // keys of never-seen hosts
+};
+
+LookupMix make_lookup_mix(const smash::synth::StreamScenario& scenario);
 
 }  // namespace perfbench

@@ -57,11 +57,20 @@ constexpr std::uint64_t kFastForwardS = 30 * 3600;
 // against the campaigns active for at least six hours by then.
 constexpr std::uint64_t kScoredEpochs = 33;
 constexpr int kChildren = 3;
-constexpr int kBatchEvery = 5;      // every fifth request is a batch frame
-constexpr int kBatchLookups = 8;
-constexpr double kLookupsPerRequest =
-    (kBatchEvery - 1 + kBatchLookups) / static_cast<double>(kBatchEvery);
+// One frame in ten looks up a never-seen host; the rest are the scenario's
+// own frames (see LookupMix).
+constexpr std::uint64_t kUnseenEvery = 10;
 constexpr double kSteadyKqps = 72.0;  // lookups/s, thousands
+// The sweep: from 60k lookups/s up by 15% a step. A step breaks the limit
+// when its p99 is over kP99LimitUs, it achieves under 95% of its offered
+// load, or any answer is rejected, stale or cut short. The step's p99 is the
+// median over its 0.2 s windows of each window's p99: a stall of the shared
+// box sets one window's, a queue that grows past capacity sets most. The
+// sweep ends after two breaking steps in a row.
+constexpr double kSweepStartKqps = 60.0;
+constexpr double kSweepFactor = 1.15;
+constexpr int kSweepMaxSteps = 24;
+constexpr int kSweepBreaksToStop = 2;
 constexpr double kP99LimitUs = 25000.0;
 
 // --- child: the system under test ------------------------------------------
@@ -73,7 +82,7 @@ struct ChildArgs {
   std::string result_path;
 };
 
-// Answers the catalog's keys would get from `snapshot`: indices of the keys
+// Answers the mix's keys would get from `snapshot`: indices of the keys
 // expected malicious.
 std::vector<std::uint32_t> expected_malicious(const smash::stream::DetectionSnapshot& snapshot,
                                               const std::vector<LookupKey>& keys) {
@@ -100,7 +109,8 @@ std::set<pid_t> thread_ids() {
 
 int run_child(const ChildArgs& args) {
   const auto scenario = make_stream_scenario(args.seed, args.smoke ? 1 : kScenarioDays, args.smoke);
-  const auto keys = make_key_catalog(scenario);
+  const auto mix = make_lookup_mix(scenario);
+  const auto& keys = mix.keys;
   auto registry = std::make_shared<smash::obs::Registry>();
 
   smash::stream::StreamConfig config;
@@ -122,7 +132,7 @@ int run_child(const ChildArgs& args) {
   serve::VerdictServer server(engine.slot(), serve_config);
 
   // Feeder: paces the scenario (in laps) and records, for every snapshot
-  // it sees published, which catalog keys that snapshot answers malicious.
+  // it sees published, which of the mix's keys that snapshot answers malicious.
   // Only the feeder writes these; the main thread reads them after join().
   std::map<std::uint64_t, std::vector<std::uint32_t>> expected;  // by sequence
   std::set<std::string> flagged_scored;
@@ -204,15 +214,19 @@ int run_child(const ChildArgs& args) {
   out << "f1 " << q.f1() << "\n";
   out << "last_epoch " << last_epoch << "\n";
   if (args.trace) {
-    // VerdictService::lookup in-process over the catalog, on the last snapshot.
+    // VerdictService::lookup in-process over the traffic's mix, on the last
+    // snapshot: every scenario frame, and one never-seen host after each
+    // kUnseenEvery - 1 of them.
     smash::stream::VerdictService service(engine.slot());
     std::uint64_t hits = 0, lookups = 0;
+    const auto lookup = [&](std::uint32_t k) {
+      hits += service.lookup_request(keys[k].host, keys[k].ip).malicious;
+      ++lookups;
+    };
     const auto t = Clock::now();
-    for (int rep = 0; rep < 50; ++rep) {
-      for (const auto& key : keys) {
-        hits += service.lookup_request(key.host, key.ip).malicious;
-        ++lookups;
-      }
+    for (std::size_t f = 0; f < mix.frames.size(); ++f) {
+      for (const auto k : mix.frames[f]) lookup(k);
+      if (f % (kUnseenEvery - 1) == kUnseenEvery - 2) lookup(mix.unseen[f % mix.unseen.size()]);
     }
     out << "verdict_lookup_ns "
         << std::chrono::duration<double, std::nano>(Clock::now() - t).count() / lookups << "\n";
@@ -236,7 +250,7 @@ int run_child(const ChildArgs& args) {
 
 struct Request {
   double offset_s = 0.0;
-  std::vector<std::uint32_t> keys;  // catalog indices
+  std::vector<std::uint32_t> keys;  // indices into LookupMix::keys
   std::string bytes;                // encoded frame
 };
 
@@ -256,7 +270,9 @@ struct Phase {
   RateStage stage;  // lookups/s
   std::vector<Request> requests;
   std::vector<Outcome> outcomes;
+  double planned_lookups = 0.0;
   std::int64_t start_ns = 0;  // when the schedule's clock started
+  bool sweep = false;         // a sweep step: shed answers only end the sweep
 };
 
 std::int64_t now_ns() {
@@ -264,35 +280,36 @@ std::int64_t now_ns() {
       .count();
 }
 
-// Plans a phase: the schedule (in frames, from the lookup rate) and the mix
-// of keys and frame types, all from `rng`.
-Phase plan_phase(const std::string& name, RateStage stage, const std::vector<LookupKey>& keys,
+// Plans a phase: the schedule (in frames, from the lookup rate) and the
+// frames, drawn from the mix with `rng`.
+Phase plan_phase(const std::string& name, RateStage stage, const LookupMix& mix,
                  smash::util::Rng& rng, std::uint64_t& next_id) {
-  std::vector<std::uint32_t> by_kind[3];
-  for (std::uint32_t k = 0; k < keys.size(); ++k) by_kind[static_cast<int>(keys[k].kind)].push_back(k);
+  double scenario_lookups = 0.0;
+  for (const auto& f : mix.frames) scenario_lookups += static_cast<double>(f.size());
+  const double lookups_per_frame =
+      (scenario_lookups / static_cast<double>(mix.frames.size()) * (kUnseenEvery - 1) + 1.0) /
+      kUnseenEvery;
   Phase phase;
   phase.name = name;
   phase.first_id = next_id;
   phase.stage = stage;
   RateStage frames = stage;
-  frames.rate_begin /= kLookupsPerRequest;
-  frames.rate_end /= kLookupsPerRequest;
+  frames.rate_begin /= lookups_per_frame;
+  frames.rate_end /= lookups_per_frame;
   for (double offset : schedule_offsets(frames)) {
     Request request;
     request.offset_s = offset;
+    if (rng.uniform(kUnseenEvery) == 0) {
+      request.keys = {mix.unseen[rng.uniform(mix.unseen.size())]};
+    } else {
+      request.keys = mix.frames[rng.uniform(mix.frames.size())];
+    }
     serve::RequestFrame frame;
     frame.request_id = next_id++;
-    const bool batch = frame.request_id % kBatchEvery == 0;
-    frame.type = batch ? serve::FrameType::kBatch : serve::FrameType::kLookup;
-    for (int i = 0; i < (batch ? kBatchLookups : 1); ++i) {
-      // 30% campaign keys, 50% benign, 20% never seen.
-      const auto roll = rng.uniform(10);
-      const auto& pool = by_kind[roll < 3 ? 0 : roll < 8 ? 1 : 2];
-      const auto k = pool[rng.uniform(pool.size())];
-      request.keys.push_back(k);
-      frame.lookups.push_back({keys[k].host, keys[k].ip});
-    }
+    frame.type = request.keys.size() > 1 ? serve::FrameType::kBatch : serve::FrameType::kLookup;
+    for (const auto k : request.keys) frame.lookups.push_back({mix.keys[k].host, mix.keys[k].ip});
     serve::encode_request(request.bytes, frame);
+    phase.planned_lookups += static_cast<double>(request.keys.size());
     phase.requests.push_back(std::move(request));
   }
   phase.outcomes.resize(phase.requests.size());
@@ -402,32 +419,42 @@ void run_phase(Phase& phase, const int fds[2], SpanTracer* send_spans) {
 struct PhaseStats {
   std::vector<double> latency_us, lateness_us, age_ms;
   std::vector<double> window_p75_us;  // p75 of each 0.5 s of the schedule
+  std::vector<double> window_p99_us;  // p99 of each 0.2 s of the schedule
   double offered_kqps = 0.0, achieved_kqps = 0.0;
-  std::size_t failed = 0;
+  std::size_t lost = 0;  // no answer, or more than one
+  std::size_t shed = 0;  // rejected, stale or cut short
+  // Failed operations: outside the sweep a shed answer is one too.
+  std::size_t failed(bool sweep) const { return lost + (sweep ? 0 : shed); }
 };
 
-// Latency from scheduled send; failures are lost, duplicated, rejected,
-// stale or short answers.
+// Latency from scheduled send, over the complete kOk answers; offered load
+// is time-weighted (planned lookups / phase duration).
 PhaseStats phase_stats(const Phase& phase) {
   const std::int64_t phase_start_ns = phase.start_ns;
   PhaseStats s;
   std::int64_t last_arrival = phase_start_ns;
   double lookups = 0.0;
-  std::vector<std::vector<double>> windows;
+  std::vector<std::vector<double>> windows, short_windows;
+  const auto add_to = [](std::vector<std::vector<double>>& into, std::size_t w, double v) {
+    if (into.size() <= w) into.resize(w + 1);
+    into[w].push_back(v);
+  };
   for (std::size_t i = 0; i < phase.requests.size(); ++i) {
     const auto& req = phase.requests[i];
     const auto& out = phase.outcomes[i];
     const auto due_ns = phase_start_ns + static_cast<std::int64_t>(req.offset_s * 1e9);
     s.lateness_us.push_back(static_cast<double>(out.sent_ns - due_ns) / 1e3);
-    if (out.responses != 1 || out.status != serve::FrameStatus::kOk ||
-        out.malicious.size() != req.keys.size()) {
-      ++s.failed;
+    if (out.responses != 1) {
+      ++s.lost;
+      continue;
+    }
+    if (out.status != serve::FrameStatus::kOk || out.malicious.size() != req.keys.size()) {
+      ++s.shed;
       continue;
     }
     s.latency_us.push_back(static_cast<double>(out.arrival_ns - due_ns) / 1e3);
-    const auto w = static_cast<std::size_t>(req.offset_s / 0.5);
-    if (windows.size() <= w) windows.resize(w + 1);
-    windows[w].push_back(s.latency_us.back());
+    add_to(windows, static_cast<std::size_t>(req.offset_s / 0.5), s.latency_us.back());
+    add_to(short_windows, static_cast<std::size_t>(req.offset_s / 0.2), s.latency_us.back());
     s.age_ms.push_back(out.age_ms);
     last_arrival = std::max(last_arrival, out.arrival_ns);
     lookups += static_cast<double>(req.keys.size());
@@ -435,7 +462,10 @@ PhaseStats phase_stats(const Phase& phase) {
   for (const auto& w : windows) {
     if (!w.empty()) s.window_p75_us.push_back(percentile(w, 75.0));
   }
-  s.offered_kqps = time_weighted_offered({phase.stage}) / 1e3;
+  for (const auto& w : short_windows) {
+    if (!w.empty()) s.window_p99_us.push_back(percentile(w, 99.0));
+  }
+  s.offered_kqps = time_weighted_offered(phase.planned_lookups, {phase.stage}) / 1e3;
   const double span_s = static_cast<double>(last_arrival - phase_start_ns) / 1e9;
   s.achieved_kqps = span_s > 0.0 ? lookups / std::max(span_s, phase.stage.duration_s) / 1e3 : 0.0;
   return s;
@@ -611,7 +641,6 @@ void pool(PhaseStats& into, const PhaseStats& from) {
   into.age_ms.insert(into.age_ms.end(), from.age_ms.begin(), from.age_ms.end());
   into.window_p75_us.insert(into.window_p75_us.end(), from.window_p75_us.begin(),
                             from.window_p75_us.end());
-  into.failed += from.failed;
 }
 
 // Correctness of every answer against the snapshot it came from: campaign
@@ -629,7 +658,9 @@ std::size_t wrong_answers(const ChildRun& run, const std::vector<LookupKey>& key
   for (const auto& phase : run.phases) {
     for (std::size_t i = 0; i < phase.requests.size(); ++i) {
       const auto& out = phase.outcomes[i];
-      if (out.responses != 1 || out.malicious.size() != phase.requests[i].keys.size()) continue;
+      // A shed frame's answers (stale, or a batch cut short) are still
+      // checked; a rejected one has none.
+      if (out.responses != 1 || out.malicious.empty()) continue;
       ++answered;
       bool ok = true;
       for (std::size_t j = 0; j < out.malicious.size(); ++j) {
@@ -672,7 +703,7 @@ Report run_serve_mixed(const Options& options, const char* self_exe) {
   const std::string result_path =
       (fs::path(options.work_dir) / ("serve-" + std::to_string(::getpid()) + ".txt")).string();
 
-  // Inputs: the key catalog and every phase's schedule. Three children
+  // Inputs: the lookup mix and the steady phases' schedules. Three children
   // serve in turn, each a warm-up and a third of the steady phase; the last
   // one also runs the sweep (traced: a traced steady part). Where the
   // scheduler places a child's threads moved a single child's p50 by ~30%
@@ -680,7 +711,7 @@ Report run_serve_mixed(const Options& options, const char* self_exe) {
   auto t = Clock::now();
   const auto scenario = make_stream_scenario(options.seed, options.smoke ? 1 : kScenarioDays,
                                              options.smoke);
-  const auto keys = make_key_catalog(scenario);
+  const auto mix = make_lookup_mix(scenario);
   smash::util::Rng rng(options.seed * 0x9e3779b97f4a7c15ULL + 11);
   std::uint64_t next_id = 1;
   const RateStage warmup{0.5, kSteadyKqps * 1e3, kSteadyKqps * 1e3};
@@ -688,26 +719,30 @@ Report run_serve_mixed(const Options& options, const char* self_exe) {
                          kSteadyKqps * 1e3};
   std::vector<ChildRun> runs(kChildren);
   for (auto& run : runs) {
-    run.phases.push_back(plan_phase("warmup", warmup, keys, rng, next_id));
-    run.phases.push_back(plan_phase("steady", steady, keys, rng, next_id));
+    run.phases.push_back(plan_phase("warmup", warmup, mix, rng, next_id));
+    run.phases.push_back(plan_phase("steady", steady, mix, rng, next_id));
   }
-  auto& last = runs.back().phases;
   if (options.trace) {
-    last.push_back(plan_phase("steady_traced", steady, keys, rng, next_id));
-  } else {
-    const double step_s = std::max(0.25, options.seconds * 0.4 / 7.0);
-    double rate = 40e3 * (options.smoke ? 0.25 : 1.0);
-    for (int k = 1; k <= 7; ++k, rate *= 1.25) {
-      last.push_back(plan_phase("sweep_" + std::to_string(k), {step_s, rate, rate}, keys, rng,
-                                next_id));
-    }
+    runs.back().phases.push_back(plan_phase("steady_traced", steady, mix, rng, next_id));
   }
   const double input_s = seconds_since(t);
 
   SpanTracer send_spans(true);
   std::vector<double> start_s;
   double max_kqps = 0.0;
-  std::vector<std::pair<double, double>> sweep;  // offered, p99
+  struct SweepStep {
+    double offered_kqps, achieved_kqps, p99_us;
+    std::size_t shed;
+  };
+  std::vector<SweepStep> sweep;
+  const auto run_on = [&](ChildRun& run, Phase& phase, const int fds[2]) {
+    run_phase(phase, fds, phase.name == "steady_traced" ? &send_spans : nullptr);
+    run.stats.push_back(phase_stats(phase));
+    // Sent sweep frames are not needed again; the sweep is the bulk of them.
+    if (phase.sweep) {
+      for (auto& request : phase.requests) std::string().swap(request.bytes);
+    }
+  };
   for (auto& run : runs) {
     t = Clock::now();
     Child child = spawn_child(self_exe, options, result_path);
@@ -721,20 +756,28 @@ Report run_serve_mixed(const Options& options, const char* self_exe) {
       stop_child(child);
       throw;
     }
-    for (auto& phase : run.phases) {
-      run_phase(phase, fds, phase.name == "steady_traced" ? &send_spans : nullptr);
-      run.stats.push_back(phase_stats(phase));
-      const auto& s = run.stats.back();
-      if (phase.name.rfind("sweep_", 0) == 0) {
-        const double p99 = percentile(s.latency_us, 99.0);
-        sweep.emplace_back(s.offered_kqps, p99);
-        const bool ok = s.failed == 0 && p99 <= kP99LimitUs &&
-                        s.achieved_kqps >= 0.95 * s.offered_kqps;
-        if (!ok) break;  // past capacity: later steps would only queue
-        max_kqps = s.achieved_kqps;
+    for (auto& phase : run.phases) run_on(run, phase, fds);
+    if (&run == &runs.back() && !options.trace) {
+      // Each step is planned just before it runs.
+      const double step_s = std::max(0.25, options.seconds / 15.0);
+      double rate = kSweepStartKqps * 1e3 * (options.smoke ? 0.25 : 1.0);
+      int breaks = 0;
+      for (int k = 1; k <= kSweepMaxSteps && breaks < kSweepBreaksToStop; ++k, rate *= kSweepFactor) {
+        run.phases.push_back(
+            plan_phase("sweep_" + std::to_string(k), {step_s, rate, rate}, mix, rng, next_id));
+        run.phases.back().sweep = true;
+        run_on(run, run.phases.back(), fds);
+        const auto& s = run.stats.back();
+        const double p99 = median(s.window_p99_us);
+        sweep.push_back({s.offered_kqps, s.achieved_kqps, p99, s.shed});
+        if (s.lost + s.shed > 0 || p99 > kP99LimitUs || s.achieved_kqps < 0.95 * s.offered_kqps) {
+          ++breaks;
+        } else {
+          breaks = 0;
+          max_kqps = s.achieved_kqps;
+        }
       }
     }
-    run.phases.resize(run.stats.size());  // steps past the first breach never ran
     ::close(fds[0]);
     ::close(fds[1]);
     report.check("serve.child_exit_clean", stop_child(child));
@@ -745,13 +788,16 @@ Report run_serve_mixed(const Options& options, const char* self_exe) {
   }
   const double setup_s = input_s + median(start_s);
 
-  std::size_t wrong = 0, answered = 0, failed_requests = 0;
+  std::size_t wrong = 0, answered = 0, failed_requests = 0, shed_in_sweep = 0;
   PhaseStats pooled;
   double rss_mib = 0.0, f1_sum = 0.0, achieved_sum = 0.0;
   for (const auto& run : runs) {
-    for (const auto& phase : run.phases) report.attempted += phase.requests.size();
-    for (const auto& s : run.stats) failed_requests += s.failed;
-    wrong += wrong_answers(run, keys, options.inject_fault == "serve_verdict", answered);
+    for (std::size_t p = 0; p < run.phases.size(); ++p) {
+      report.attempted += run.phases[p].requests.size();
+      failed_requests += run.stats[p].failed(run.phases[p].sweep);
+      if (run.phases[p].sweep) shed_in_sweep += run.stats[p].shed;
+    }
+    wrong += wrong_answers(run, mix.keys, options.inject_fault == "serve_verdict", answered);
     pool(pooled, run.stats[1]);
     achieved_sum += run.stats[1].achieved_kqps;
     rss_mib = std::max(rss_mib, run.result.values.count("rss_mib")
@@ -760,7 +806,8 @@ Report run_serve_mixed(const Options& options, const char* self_exe) {
   }
   report.failed += failed_requests + wrong;
   report.check("serve.every_request_answered_once", failed_requests == 0,
-               std::to_string(failed_requests) + " lost, duplicated, rejected, stale or short");
+               std::to_string(failed_requests) +
+                   " lost or duplicated, or rejected, stale or short outside the sweep");
   report.check("serve.verdicts_match_published_snapshots", wrong == 0,
                std::to_string(wrong) + " of " + std::to_string(answered) + " responses wrong");
 
@@ -772,7 +819,8 @@ Report run_serve_mixed(const Options& options, const char* self_exe) {
   const double window_p75_us = median(pooled.window_p75_us);
   // The frame carries whole milliseconds; the mean keeps the digits.
   const double age_ms = mean(pooled.age_ms);
-  const double offered_kqps = time_weighted_offered({steady}) / 1e3;
+  double offered_kqps = 0.0;
+  for (const auto& run : runs) offered_kqps += run.stats[1].offered_kqps / kChildren;
   const double achieved_kqps = achieved_sum / kChildren;
   report.add_e2e("setup_s", setup_s, "s");
   report.add_e2e("peak_rss_mib", rss_mib, "MiB");
@@ -789,7 +837,28 @@ Report run_serve_mixed(const Options& options, const char* self_exe) {
   report.add_named("serve_window_p75_us", window_p75_us, "us");
   report.add_named("serve_p99_us", p99_us, "us");
   report.add_named("serve_samples", static_cast<double>(pooled.latency_us.size()), "count");
+  // The planned steady mix, as the scenario and kUnseenEvery make it.
+  double frames = 0, batches = 0, lookups = 0, campaign = 0, unseen = 0, with_ip = 0;
+  for (const auto& run : runs) {
+    for (const auto& request : run.phases[1].requests) {
+      ++frames;
+      batches += request.keys.size() > 1;
+      for (const auto k : request.keys) {
+        ++lookups;
+        campaign += mix.keys[k].kind == LookupKey::Kind::kCampaign;
+        unseen += mix.keys[k].kind == LookupKey::Kind::kUnseen;
+        with_ip += !mix.keys[k].ip.empty();
+      }
+    }
+  }
+  report.add_named("mix.batch_frame_share", batches / frames, "ratio");
+  report.add_named("mix.lookups_per_frame", lookups / frames, "count");
+  report.add_named("mix.campaign_share", campaign / lookups, "ratio");
+  report.add_named("mix.unseen_share", unseen / lookups, "ratio");
+  report.add_named("mix.host_ip_share", with_ip / lookups, "ratio");
   report.add_named("serve_max_kqps", max_kqps, "k/s");
+  report.add_named("serve_sweep_steps", static_cast<double>(sweep.size()), "count");
+  report.add_named("serve_shed_in_sweep", static_cast<double>(shed_in_sweep), "count");
   report.add_named("answer_age_p50_ms", median(pooled.age_ms), "ms");
   report.add_named("answer_age_mean_ms", age_ms, "ms");
   report.add_named("gen.offered_kqps", offered_kqps, "k/s");
@@ -797,8 +866,11 @@ Report run_serve_mixed(const Options& options, const char* self_exe) {
   report.add_named("gen.send_lateness_p50_us", percentile(pooled.lateness_us, 50.0), "us");
   report.add_named("gen.send_lateness_p99_us", percentile(pooled.lateness_us, 99.0), "us");
   for (std::size_t k = 0; k < sweep.size(); ++k) {
-    report.add_named("sweep." + std::to_string(k + 1) + ".offered_kqps", sweep[k].first, "k/s");
-    report.add_named("sweep." + std::to_string(k + 1) + ".p99_us", sweep[k].second, "us");
+    const std::string step = "sweep." + std::to_string(k + 1);
+    report.add_named(step + ".offered_kqps", sweep[k].offered_kqps, "k/s");
+    report.add_named(step + ".achieved_kqps", sweep[k].achieved_kqps, "k/s");
+    report.add_named(step + ".p99_us", sweep[k].p99_us, "us");
+    report.add_named(step + ".shed", static_cast<double>(sweep[k].shed), "count");
   }
 
   if (options.trace) {

@@ -54,25 +54,10 @@ std::vector<double> schedule_offsets(const RateStage& stage) {
   return out;
 }
 
-double time_weighted_offered(const std::vector<RateStage>& stages) {
-  double planned = 0.0, duration = 0.0;
-  for (const auto& s : stages) {
-    planned += static_cast<double>(schedule_offsets(s).size());
-    duration += s.duration_s;
-  }
+double time_weighted_offered(double planned, const std::vector<RateStage>& stages) {
+  double duration = 0.0;
+  for (const auto& s : stages) duration += s.duration_s;
   return duration > 0.0 ? planned / duration : 0.0;
-}
-
-double per_request_mean_rate(const std::vector<RateStage>& stages) {
-  double rate_sum = 0.0, count = 0.0;
-  for (const auto& s : stages) {
-    const double slope = s.duration_s > 0.0 ? (s.rate_end - s.rate_begin) / s.duration_s : 0.0;
-    for (double t : schedule_offsets(s)) {
-      rate_sum += s.rate_begin + slope * t;
-      count += 1.0;
-    }
-  }
-  return count > 0.0 ? rate_sum / count : 0.0;
 }
 
 double peak_rss_mib() {

@@ -47,13 +47,10 @@ struct RateStage {
 // request k is due when the integral of the rate reaches k.
 std::vector<double> schedule_offsets(const RateStage& stage);
 
-// Offered load of a phase, time-weighted: planned requests / duration.
-double time_weighted_offered(const std::vector<RateStage>& stages);
-
-// Mean of the instantaneous rate over the planned requests. It over-weights
-// the fast part of a ramp; kept only so the self-test can show the
-// difference against time_weighted_offered.
-double per_request_mean_rate(const std::vector<RateStage>& stages);
+// Offered load of a phase, time-weighted: its `planned` requests over the
+// stages' whole duration, not a mean of the rate each request was sent at
+// (which over-weights the fast end of a ramp).
+double time_weighted_offered(double planned, const std::vector<RateStage>& stages);
 
 // Peak resident set of this process (VmHWM), MiB.
 double peak_rss_mib();

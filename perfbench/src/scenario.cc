@@ -91,13 +91,18 @@ LookupMix make_lookup_mix(const smash::synth::StreamScenario& scenario) {
       minute = r->time_s / 60;
       open_frame.clear();
     }
-    const auto [it, fresh] = open_frame.emplace(r->client, mix.frames.size());
+    auto [it, fresh] = open_frame.emplace(r->client, mix.frames.size());
+    if (!fresh && mix.frames[it->second].size() == LookupMix::kMaxFrameLookups) {
+      it->second = mix.frames.size();
+      fresh = true;
+    }
     if (fresh) mix.frames.emplace_back();
     mix.frames[it->second].push_back(key_of(r->host));
   }
+  mix.scenario_frames = mix.frames.size();
 
   for (int u = 0; u < 200; ++u) {
-    mix.unseen.push_back(static_cast<std::uint32_t>(mix.keys.size()));
+    mix.frames.push_back({static_cast<std::uint32_t>(mix.keys.size())});
     mix.keys.push_back({"unseen" + std::to_string(u) + ".net", "192.0.2." + std::to_string(u),
                         LookupKey::Kind::kUnseen});
   }

@@ -31,13 +31,17 @@ struct LookupKey {
 // host-only when the scenario never resolves it (the www. names of benign
 // sites). The requests of one client within one scenario minute form one
 // frame: a gateway in front of that client sends them as one kBatch, or as
-// a kLookup when there is one. Campaign, benign and host+IP shares thus
-// follow the generator. Never-seen hosts, each with a TEST-NET-1 address,
-// are added on top (the generator has none).
+// a kLookup when there is one, of at most kMaxFrameLookups lookups.
+// Campaign, benign and host+IP shares thus follow the generator. Never-seen
+// hosts, each with a TEST-NET-1 address, are added on top (the generator
+// has none).
 struct LookupMix {
-  std::vector<LookupKey> keys;                     // distinct keys
-  std::vector<std::vector<std::uint32_t>> frames;  // key indices per scenario frame
-  std::vector<std::uint32_t> unseen;               // keys of never-seen hosts
+  static constexpr std::size_t kMaxFrameLookups = 32;
+  std::vector<LookupKey> keys;  // distinct keys
+  // Key indices per frame: the scenario's frames, then one single-lookup
+  // frame per never-seen host.
+  std::vector<std::vector<std::uint32_t>> frames;
+  std::size_t scenario_frames = 0;
 };
 
 LookupMix make_lookup_mix(const smash::synth::StreamScenario& scenario);

@@ -61,14 +61,14 @@ constexpr int kChildren = 3;
 // own frames (see LookupMix).
 constexpr std::uint64_t kUnseenEvery = 10;
 constexpr double kSteadyKqps = 72.0;  // lookups/s, thousands
-// The sweep: from 60k lookups/s up by 15% a step. A step breaks the limit
+// The sweep: from 60k lookups/s up by 10% a step. A step breaks the limit
 // when its p99 is over kP99LimitUs, it achieves under 95% of its offered
 // load, or any answer is rejected, stale or cut short. The step's p99 is the
 // median over its 0.2 s windows of each window's p99: a stall of the shared
 // box sets one window's, a queue that grows past capacity sets most. The
 // sweep ends after two breaking steps in a row.
 constexpr double kSweepStartKqps = 60.0;
-constexpr double kSweepFactor = 1.15;
+constexpr double kSweepFactor = 1.1;
 constexpr int kSweepMaxSteps = 24;
 constexpr int kSweepBreaksToStop = 2;
 constexpr double kP99LimitUs = 25000.0;
@@ -223,10 +223,13 @@ int run_child(const ChildArgs& args) {
       hits += service.lookup_request(keys[k].host, keys[k].ip).malicious;
       ++lookups;
     };
+    const std::size_t unseen_frames = mix.frames.size() - mix.scenario_frames;
     const auto t = Clock::now();
-    for (std::size_t f = 0; f < mix.frames.size(); ++f) {
+    for (std::size_t f = 0; f < mix.scenario_frames; ++f) {
       for (const auto k : mix.frames[f]) lookup(k);
-      if (f % (kUnseenEvery - 1) == kUnseenEvery - 2) lookup(mix.unseen[f % mix.unseen.size()]);
+      if (f % (kUnseenEvery - 1) == kUnseenEvery - 2) {
+        lookup(mix.frames[mix.scenario_frames + f % unseen_frames][0]);
+      }
     }
     out << "verdict_lookup_ns "
         << std::chrono::duration<double, std::nano>(Clock::now() - t).count() / lookups << "\n";
@@ -250,18 +253,22 @@ int run_child(const ChildArgs& args) {
 
 struct Request {
   double offset_s = 0.0;
-  std::vector<std::uint32_t> keys;  // indices into LookupMix::keys
-  std::string bytes;                // encoded frame
+  std::uint32_t frame = 0;  // index into LookupMix::frames
+  std::uint8_t lookups = 0;
+  std::string bytes;        // encoded frame
 };
 
+// What came back for one request. Answer j's verdict is bit j of
+// `malicious` (frames hold at most LookupMix::kMaxFrameLookups lookups).
 struct Outcome {
   std::int64_t arrival_ns = -1;
   std::int64_t sent_ns = -1;
-  int responses = 0;
-  serve::FrameStatus status = serve::FrameStatus::kOk;
   std::uint64_t sequence = 0;
   std::uint32_t age_ms = 0;
-  std::vector<bool> malicious;
+  std::uint32_t malicious = 0;
+  std::uint16_t answers = 0;
+  std::uint8_t responses = 0;
+  serve::FrameStatus status = serve::FrameStatus::kOk;
 };
 
 struct Phase {
@@ -285,9 +292,11 @@ std::int64_t now_ns() {
 Phase plan_phase(const std::string& name, RateStage stage, const LookupMix& mix,
                  smash::util::Rng& rng, std::uint64_t& next_id) {
   double scenario_lookups = 0.0;
-  for (const auto& f : mix.frames) scenario_lookups += static_cast<double>(f.size());
+  for (std::size_t f = 0; f < mix.scenario_frames; ++f) {
+    scenario_lookups += static_cast<double>(mix.frames[f].size());
+  }
   const double lookups_per_frame =
-      (scenario_lookups / static_cast<double>(mix.frames.size()) * (kUnseenEvery - 1) + 1.0) /
+      (scenario_lookups / static_cast<double>(mix.scenario_frames) * (kUnseenEvery - 1) + 1.0) /
       kUnseenEvery;
   Phase phase;
   phase.name = name;
@@ -299,17 +308,18 @@ Phase plan_phase(const std::string& name, RateStage stage, const LookupMix& mix,
   for (double offset : schedule_offsets(frames)) {
     Request request;
     request.offset_s = offset;
-    if (rng.uniform(kUnseenEvery) == 0) {
-      request.keys = {mix.unseen[rng.uniform(mix.unseen.size())]};
-    } else {
-      request.keys = mix.frames[rng.uniform(mix.frames.size())];
-    }
+    request.frame = static_cast<std::uint32_t>(
+        rng.uniform(kUnseenEvery) == 0
+            ? mix.scenario_frames + rng.uniform(mix.frames.size() - mix.scenario_frames)
+            : rng.uniform(mix.scenario_frames));
+    const auto& keys = mix.frames[request.frame];
+    request.lookups = static_cast<std::uint8_t>(keys.size());
     serve::RequestFrame frame;
     frame.request_id = next_id++;
-    frame.type = request.keys.size() > 1 ? serve::FrameType::kBatch : serve::FrameType::kLookup;
-    for (const auto k : request.keys) frame.lookups.push_back({mix.keys[k].host, mix.keys[k].ip});
+    frame.type = keys.size() > 1 ? serve::FrameType::kBatch : serve::FrameType::kLookup;
+    for (const auto k : keys) frame.lookups.push_back({mix.keys[k].host, mix.keys[k].ip});
     serve::encode_request(request.bytes, frame);
-    phase.planned_lookups += static_cast<double>(request.keys.size());
+    phase.planned_lookups += static_cast<double>(keys.size());
     phase.requests.push_back(std::move(request));
   }
   phase.outcomes.resize(phase.requests.size());
@@ -381,12 +391,16 @@ void run_phase(Phase& phase, const int fds[2], SpanTracer* send_spans) {
             continue;
           }
           auto& out = phase.outcomes[response->request_id - first_id];
-          if (out.responses++ == 0) {
+          if (out.responses < UINT8_MAX && out.responses++ == 0) {
             out.arrival_ns = arrival;
             out.status = response->status;
             out.sequence = response->snapshot_sequence;
             out.age_ms = response->snapshot_age_ms;
-            for (const auto& a : response->answers) out.malicious.push_back(a.malicious);
+            out.answers = static_cast<std::uint16_t>(
+                std::min<std::size_t>(response->answers.size(), UINT16_MAX));
+            for (std::size_t j = 0; j < response->answers.size() && j < 32; ++j) {
+              if (response->answers[j].malicious) out.malicious |= 1u << j;
+            }
             ++received;
           }
         }
@@ -448,7 +462,7 @@ PhaseStats phase_stats(const Phase& phase) {
       ++s.lost;
       continue;
     }
-    if (out.status != serve::FrameStatus::kOk || out.malicious.size() != req.keys.size()) {
+    if (out.status != serve::FrameStatus::kOk || out.answers != req.lookups) {
       ++s.shed;
       continue;
     }
@@ -457,7 +471,7 @@ PhaseStats phase_stats(const Phase& phase) {
     add_to(short_windows, static_cast<std::size_t>(req.offset_s / 0.2), s.latency_us.back());
     s.age_ms.push_back(out.age_ms);
     last_arrival = std::max(last_arrival, out.arrival_ns);
-    lookups += static_cast<double>(req.keys.size());
+    lookups += static_cast<double>(req.lookups);
   }
   for (const auto& w : windows) {
     if (!w.empty()) s.window_p75_us.push_back(percentile(w, 75.0));
@@ -585,7 +599,7 @@ void measure_frames(Report& report, const Phase& phase) {
   for (const bool batch : {false, true}) {
     std::vector<const Request*> sample;
     for (const auto& r : phase.requests) {
-      if ((r.keys.size() > 1) == batch) sample.push_back(&r);
+      if ((r.lookups > 1) == batch) sample.push_back(&r);
     }
     if (sample.empty()) continue;
     const std::string kind = batch ? "batch" : "single";
@@ -646,8 +660,8 @@ void pool(PhaseStats& into, const PhaseStats& from) {
 // Correctness of every answer against the snapshot it came from: campaign
 // keys must match that publication, benign and never-seen keys must never
 // come back malicious. Returns the number of wrong responses.
-std::size_t wrong_answers(const ChildRun& run, const std::vector<LookupKey>& keys,
-                          bool inject_fault, std::size_t& answered) {
+std::size_t wrong_answers(const ChildRun& run, const LookupMix& mix, bool inject_fault,
+                          std::size_t& answered) {
   const auto expected_at = [&](std::uint64_t seq, std::uint32_t key, bool next) -> int {
     auto it = run.result.expected.find(seq);
     if (it == run.result.expected.end()) return -1;
@@ -660,14 +674,16 @@ std::size_t wrong_answers(const ChildRun& run, const std::vector<LookupKey>& key
       const auto& out = phase.outcomes[i];
       // A shed frame's answers (stale, or a batch cut short) are still
       // checked; a rejected one has none.
-      if (out.responses != 1 || out.malicious.empty()) continue;
+      if (out.responses != 1 || out.answers == 0) continue;
       ++answered;
-      bool ok = true;
-      for (std::size_t j = 0; j < out.malicious.size(); ++j) {
-        const auto key = phase.requests[i].keys[j];
-        const bool got = out.malicious[j] ||
-                         (inject_fault && keys[key].kind == LookupKey::Kind::kBenign);
-        if (keys[key].kind != LookupKey::Kind::kCampaign && got) ok = false;
+      const auto& keys = mix.frames[phase.requests[i].frame];
+      bool ok = out.answers <= keys.size();
+      for (std::size_t j = 0; ok && j < out.answers; ++j) {
+        const auto key = keys[j];
+        const auto kind = mix.keys[key].kind;
+        const bool got = ((out.malicious >> j) & 1u) != 0 ||
+                         (inject_fault && kind == LookupKey::Kind::kBenign);
+        if (kind != LookupKey::Kind::kCampaign && got) ok = false;
         // An unrecorded publication cannot be checked and counts as wrong;
         // lookups after the first of a batch may see the next publication.
         const int now = expected_at(out.sequence, key, false);
@@ -797,7 +813,7 @@ Report run_serve_mixed(const Options& options, const char* self_exe) {
       failed_requests += run.stats[p].failed(run.phases[p].sweep);
       if (run.phases[p].sweep) shed_in_sweep += run.stats[p].shed;
     }
-    wrong += wrong_answers(run, mix.keys, options.inject_fault == "serve_verdict", answered);
+    wrong += wrong_answers(run, mix, options.inject_fault == "serve_verdict", answered);
     pool(pooled, run.stats[1]);
     achieved_sum += run.stats[1].achieved_kqps;
     rss_mib = std::max(rss_mib, run.result.values.count("rss_mib")
@@ -842,8 +858,8 @@ Report run_serve_mixed(const Options& options, const char* self_exe) {
   for (const auto& run : runs) {
     for (const auto& request : run.phases[1].requests) {
       ++frames;
-      batches += request.keys.size() > 1;
-      for (const auto k : request.keys) {
+      batches += request.lookups > 1;
+      for (const auto k : mix.frames[request.frame]) {
         ++lookups;
         campaign += mix.keys[k].kind == LookupKey::Kind::kCampaign;
         unseen += mix.keys[k].kind == LookupKey::Kind::kUnseen;

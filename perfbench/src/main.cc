@@ -13,9 +13,31 @@
 #include <string>
 #include <thread>
 
+#include <sched.h>
+
 #include "workloads.h"
 
 namespace {
+
+// Pins this process, its threads and the serve child it forks to one CPU:
+// the last one it may run on. Returns that CPU, or -1 when pinning failed.
+//
+// The benchmark's host lends its vCPUs as a varying number of real cores:
+// for minutes at a time four spinning threads do the work of one, then of
+// four again, while one thread's speed stays the same. On one CPU every
+// workload measures the same machine in both states.
+int pin_to_one_cpu() {
+  cpu_set_t set;
+  if (::sched_getaffinity(0, sizeof set, &set) != 0) return -1;
+  int cpu = -1;
+  for (int c = 0; c < CPU_SETSIZE; ++c) {
+    if (CPU_ISSET(c, &set)) cpu = c;
+  }
+  if (cpu < 0) return -1;
+  CPU_ZERO(&set);
+  CPU_SET(cpu, &set);
+  return ::sched_setaffinity(0, sizeof set, &set) == 0 ? cpu : -1;
+}
 
 int usage() {
   std::fprintf(stderr,
@@ -57,6 +79,15 @@ int main(int argc, char** argv) {
   }
   if (!(options.seconds > 0.0)) return usage();
 
+  // The probe measures the box as lent, before pinning.
+  char probe[32];
+  std::snprintf(probe, sizeof probe, "%.2f", perfbench::parallelism_probe(4));
+  const int cpu = pin_to_one_cpu();
+  if (cpu < 0) {
+    std::fprintf(stderr, "perfbench: cannot pin to one CPU\n");
+    return 1;
+  }
+
   perfbench::Report report;
   try {
     if (options.workload == "batch_day") {
@@ -75,9 +106,8 @@ int main(int argc, char** argv) {
   report.workload = options.workload;
   report.header["seed"] = std::to_string(options.seed);
   report.header["nproc"] = std::to_string(std::thread::hardware_concurrency());
-  char probe[32];
-  std::snprintf(probe, sizeof probe, "%.2f", perfbench::parallelism_probe(4));
   report.header["parallelism_probe_4threads"] = probe;
+  report.header["pinned_cpu"] = std::to_string(cpu);
   report.header["compiler"] = PERFBENCH_COMPILER;
   report.header["build_type"] = PERFBENCH_BUILD_TYPE;
   std::printf("%s\n", report.to_json().c_str());

@@ -132,7 +132,10 @@ struct StageResult {
   std::uint64_t sent = 0, received = 0;
   std::uint64_t ok = 0, stale = 0, rejected = 0;
   double duration_ms = 0.0;
-  double offered_qps_mean = 0.0;
+  // Requests scheduled per second of scheduled time: the time-weighted
+  // mean of the stage's rate curve. (A per-request mean of the rate would
+  // over-weight the high-rate part of a ramp, where more requests fall.)
+  double offered_qps = 0.0;
   std::vector<double> latency_us;  // per response, from scheduled send
 
   double percentile(double q) const {
@@ -207,12 +210,10 @@ StageResult run_stage(const StageSpec& stage, std::uint16_t port,
 
   const auto start = Clock::now();
   double virt_s = 0.0;
-  double rate_sum = 0.0;
   std::uint64_t id = 0;
   std::size_t host_i = 0;
   while (virt_s < stage.duration_s && id < capacity) {
     const double rate = std::max(1.0, rate_at(stage, virt_s));
-    rate_sum += rate;
     const auto deadline =
         start + std::chrono::duration_cast<Clock::duration>(
                     std::chrono::duration<double>(virt_s));
@@ -235,7 +236,7 @@ StageResult run_stage(const StageSpec& stage, std::uint16_t port,
   result.duration_ms = std::chrono::duration<double, std::milli>(
                            Clock::now() - start)
                            .count();
-  result.offered_qps_mean = id > 0 ? rate_sum / static_cast<double>(id) : 0.0;
+  result.offered_qps = virt_s > 0.0 ? static_cast<double>(id) / virt_s : 0.0;
   return result;
 }
 
@@ -350,7 +351,7 @@ int main(int argc, char** argv) {
             ? static_cast<double>(r.received) / (r.duration_ms / 1e3)
             : 0.0;
     report.add("serve/" + stage.name, r.duration_ms,
-               {{"offered_qps", r.offered_qps_mean},
+               {{"offered_qps", r.offered_qps},
                 {"achieved_qps", achieved},
                 {"sent", static_cast<double>(r.sent)},
                 {"received", static_cast<double>(r.received)},
@@ -363,7 +364,7 @@ int main(int argc, char** argv) {
     std::printf(
         "%-12s offered %7.0f qps  achieved %7.0f qps  p50 %8.1f us  "
         "p99 %9.1f us  p999 %9.1f us  (%llu ok, %llu stale, %llu rejected)\n",
-        stage.name.c_str(), r.offered_qps_mean, achieved, r.percentile(0.50),
+        stage.name.c_str(), r.offered_qps, achieved, r.percentile(0.50),
         r.percentile(0.99), r.percentile(0.999),
         static_cast<unsigned long long>(r.ok),
         static_cast<unsigned long long>(r.stale),
@@ -391,7 +392,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     report.add("serve/stale_probe", r.duration_ms,
-               {{"offered_qps", r.offered_qps_mean},
+               {{"offered_qps", r.offered_qps},
                 {"sent", static_cast<double>(r.sent)},
                 {"received", static_cast<double>(r.received)},
                 {"ok", static_cast<double>(r.ok)},

@@ -27,19 +27,8 @@ DimensionAshes extract_ashes(Dimension dimension, graph::GraphBuilder builder,
   graph::Graph g = std::move(builder).build();
   out.graph_edges = g.num_edges();
 
-  // Louvain inherits this dimension's thread budget unless the caller
-  // pinned one explicitly (LouvainOptions::num_threads == 0 = inherit).
-  // Inside the concurrent dimension fan-out that budget is 1 for every
-  // dimension but the client one, which gets the leftover threads — the
-  // same discipline the sharded joins follow. The partition is identical
-  // for every thread count and chunk size (chunked-sweep determinism), so
-  // this changes wall-clock only.
-  graph::LouvainOptions louvain_options = config.louvain;
-  if (louvain_options.num_threads == 0) {
-    louvain_options.num_threads = std::max(1u, config.num_threads);
-  }
   obs::Span louvain_span("mine.louvain", dimension_name(dimension).data());
-  const auto louvain_result = graph::louvain_refined(g, louvain_options);
+  const auto louvain_result = graph::louvain_refined(g, config.louvain);
   louvain_span.finish();
   out.modularity = louvain_result.modularity;
   out.louvain_stats = louvain_result.stats;
@@ -110,15 +99,13 @@ std::vector<std::size_t> estimate_postings_entries(const PreprocessResult& pre,
 }
 
 // Splits join_memory_budget_bytes across the concurrently-mined dimensions.
-// Weighted mode (SmashConfig::weighted_budget_split, default): every
-// dimension is guaranteed a floor of a quarter of its even share (so a
-// small index is never starved into shard passes by a dominant sibling),
+// Every dimension is guaranteed a floor of a quarter of its even share (so
+// a small index is never starved into shard passes by a dominant sibling),
 // and the remaining ~3/4 of the budget is distributed in proportion to
 // each dimension's estimated postings entries — in practice the client
 // join dwarfs the others and stops paying re-probe passes for budget
-// parked on tiny dimensions. Even mode is the original split, kept for
-// comparison. Either way the slices sum to at most the budget (plus one
-// byte per dimension from the floor-to-1), and the split affects pass
+// parked on tiny dimensions. The slices sum to at most the budget (plus
+// one byte per dimension from the floor-to-1), and the split affects pass
 // counts only, never mined output.
 std::vector<std::size_t> split_join_budget(const PreprocessResult& pre,
                                            const whois::Registry& registry,
@@ -127,9 +114,7 @@ std::vector<std::size_t> split_join_budget(const PreprocessResult& pre,
   const auto budget = config.join_memory_budget_bytes;
   const auto even_share =
       std::max<std::size_t>(budget / static_cast<std::size_t>(dimensions), 1);
-  std::vector<std::size_t> slices(dimensions, even_share);
-  if (!config.weighted_budget_split) return slices;
-
+  std::vector<std::size_t> slices(dimensions);
   const auto entries = estimate_postings_entries(pre, registry, dimensions);
   unsigned __int128 total_weight = 0;
   // +1 per dimension: a zero-entry dimension still gets a sliver, and the
@@ -144,6 +129,33 @@ std::vector<std::size_t> split_join_budget(const PreprocessResult& pre,
     slices[d] = floor + static_cast<std::size_t>(weighted);
   }
   return slices;
+}
+
+// The effective per-dimension configs of the concurrent fan-out: every
+// dimension but the client one is pinned to one thread, the client
+// dimension gets the leftover threads, and a non-zero
+// join_memory_budget_bytes is split across the slots.
+std::vector<SmashConfig> per_dimension_mining_configs(
+    const PreprocessResult& pre, const whois::Registry& registry,
+    const SmashConfig& config, int dimensions) {
+  std::vector<SmashConfig> out(dimensions, config);
+  if (config.num_threads <= 1) return out;
+  const auto other_dimensions = static_cast<unsigned>(dimensions - 1);
+  for (int d = 0; d < dimensions; ++d) {
+    out[d].num_threads =
+        static_cast<Dimension>(d) == Dimension::kClient
+            ? (config.num_threads > other_dimensions
+                   ? config.num_threads - other_dimensions
+                   : 1)
+            : 1;
+  }
+  if (config.join_memory_budget_bytes > 0) {
+    const auto slices = split_join_budget(pre, registry, dimensions, config);
+    for (int d = 0; d < dimensions; ++d) {
+      out[d].join_memory_budget_bytes = slices[d];
+    }
+  }
+  return out;
 }
 
 }  // namespace
@@ -193,29 +205,6 @@ unsigned dimension_join_threads(Dimension dimension,
   }
 }
 
-std::vector<SmashConfig> per_dimension_mining_configs(
-    const PreprocessResult& pre, const whois::Registry& registry,
-    const SmashConfig& config, int dimensions) {
-  std::vector<SmashConfig> out(dimensions, config);
-  if (config.num_threads <= 1) return out;
-  const auto other_dimensions = static_cast<unsigned>(dimensions - 1);
-  for (int d = 0; d < dimensions; ++d) {
-    out[d].num_threads =
-        static_cast<Dimension>(d) == Dimension::kClient
-            ? (config.num_threads > other_dimensions
-                   ? config.num_threads - other_dimensions
-                   : 1)
-            : 1;
-  }
-  if (config.join_memory_budget_bytes > 0) {
-    const auto slices = split_join_budget(pre, registry, dimensions, config);
-    for (int d = 0; d < dimensions; ++d) {
-      out[d].join_memory_budget_bytes = slices[d];
-    }
-  }
-  return out;
-}
-
 std::size_t DimensionAshes::num_herded_servers() const {
   std::size_t count = 0;
   for (const auto& ash : ashes) count += ash.members.size();
@@ -236,8 +225,7 @@ std::vector<std::uint32_t> canonical_mining_order(const PreprocessResult& pre) {
 DimensionJoinInput build_dimension_join_input(
     Dimension dimension, const PreprocessResult& pre,
     const whois::Registry& registry, const SmashConfig& config,
-    std::vector<std::uint32_t> canon_to_kept, unsigned join_threads,
-    const DimensionKeyNameSources* names) {
+    std::vector<std::uint32_t> canon_to_kept, unsigned join_threads) {
   DimensionJoinInput input;
   input.dimension = dimension;
   input.canon_to_kept = std::move(canon_to_kept);
@@ -256,10 +244,6 @@ DimensionJoinInput build_dimension_join_input(
       }
       input.edge_threshold = config.client_edge_threshold;
       input.postings_cap = config.join_postings_cap;
-      if (names != nullptr && names->clients != nullptr) {
-        const auto& client_names = names->clients->names();
-        input.key_names.assign(client_names.begin(), client_names.end());
-      }
       break;
 
     case Dimension::kIp:
@@ -268,10 +252,6 @@ DimensionJoinInput build_dimension_join_input(
       }
       input.edge_threshold = config.ip_edge_threshold;
       input.postings_cap = config.join_postings_cap;
-      if (names != nullptr && names->ips != nullptr) {
-        const auto& ip_names = names->ips->names();
-        input.key_names.assign(ip_names.begin(), ip_names.end());
-      }
       break;
 
     case Dimension::kFile: {
@@ -288,23 +268,6 @@ DimensionJoinInput build_dimension_join_input(
       }
       input.edge_threshold = config.file_edge_threshold;
       input.postings_cap = config.file_postings_cap;
-      if (names != nullptr) {
-        // A class's canonical name is its lexicographically smallest member
-        // filename — a pure function of the class's membership, so any
-        // classifier merge or split (including ones caused by *other*
-        // servers' files) shows up as a changed key name.
-        std::vector<const std::string*> rep(classifier.num_classes(), nullptr);
-        const auto& files = pre.agg.files();
-        for (std::uint32_t f = 0; f < files.size(); ++f) {
-          const std::string& file_name = files.name(f);
-          auto& slot = rep[classifier.class_of(f)];
-          if (slot == nullptr || file_name < *slot) slot = &file_name;
-        }
-        input.key_names.reserve(rep.size());
-        for (const auto* p : rep) {
-          input.key_names.push_back(p != nullptr ? *p : std::string());
-        }
-      }
       break;
     }
 
@@ -320,7 +283,6 @@ DimensionJoinInput build_dimension_join_input(
       }
       input.edge_threshold = config.param_edge_threshold;
       input.postings_cap = config.param_postings_cap;
-      if (names != nullptr) input.key_names = patterns.names();
       break;
     }
 
@@ -349,7 +311,6 @@ DimensionJoinInput build_dimension_join_input(
           static_cast<std::uint32_t>(config.whois_min_shared_fields);
       input.union_weight = true;
       input.postings_cap = config.join_postings_cap;
-      if (names != nullptr) input.key_names = values.names();
       break;
     }
   }
@@ -407,37 +368,28 @@ DimensionAshes remap_ashes_to_kept(DimensionAshes canonical,
   return out;
 }
 
-DimensionAshes mine_joined_dimension(const DimensionJoinInput& input,
-                                     const SmashConfig& config,
-                                     std::vector<graph::Edge>* canon_edges_out,
-                                     DimensionAshes* canonical_out) {
-  graph::JoinOptions join_options;
-  join_options.max_postings_length = input.postings_cap;
-  graph::JoinStats stats;
-  obs::Span join_span("mine.join", dimension_name(input.dimension).data());
-  const auto pairs = dimension_join(input.key_sets, input.min_shared,
-                                    join_options, config, input.join_threads,
-                                    stats);
-  join_span.finish();
-
-  auto edges = weight_dimension_pairs(input, pairs);
-  DimensionAshes out = extract_canonical_ashes(input, edges, config);
-  out.join_stats = stats;
-  if (canonical_out != nullptr) *canonical_out = out;
-  if (canon_edges_out != nullptr) *canon_edges_out = std::move(edges);
-  return remap_ashes_to_kept(std::move(out), input.canon_to_kept);
-}
-
 DimensionAshes mine_dimension(Dimension dimension, const PreprocessResult& pre,
                               const whois::Registry& registry,
                               const SmashConfig& config) {
   SMASH_SPAN(dimension_mine_span_name(dimension));
   const auto start = std::chrono::steady_clock::now();
-  DimensionAshes out = mine_joined_dimension(
-      build_dimension_join_input(dimension, pre, registry, config,
-                                 canonical_mining_order(pre),
-                                 dimension_join_threads(dimension, config)),
-      config);
+  const DimensionJoinInput input = build_dimension_join_input(
+      dimension, pre, registry, config, canonical_mining_order(pre),
+      dimension_join_threads(dimension, config));
+  graph::JoinOptions join_options;
+  join_options.max_postings_length = input.postings_cap;
+  graph::JoinStats stats;
+  obs::Span join_span("mine.join", dimension_name(dimension).data());
+  const auto pairs = dimension_join(input.key_sets, input.min_shared,
+                                    join_options, config, input.join_threads,
+                                    stats);
+  join_span.finish();
+
+  DimensionAshes canonical = extract_canonical_ashes(
+      input, weight_dimension_pairs(input, pairs), config);
+  canonical.join_stats = stats;
+  DimensionAshes out =
+      remap_ashes_to_kept(std::move(canonical), input.canon_to_kept);
   if (config.metrics != nullptr) {
     config.metrics->latency_histogram_ms(dimension_mine_histogram_name(dimension))
         .observe(std::chrono::duration<double, std::milli>(
@@ -470,15 +422,13 @@ std::vector<DimensionAshes> mine_all_dimensions(const PreprocessResult& pre,
   //
   // Budget-aware fan-out: dimensions mined concurrently hold postings
   // indexes at the same time, so each gets a slice of the join memory
-  // budget — cardinality-weighted by default, even otherwise (see
-  // split_join_budget) — and the sum of simultaneously resident postings
+  // budget, weighted by estimated postings cardinality (see
+  // split_join_budget), and the sum of simultaneously resident postings
   // stays within config.join_memory_budget_bytes. (Each dimension's
   // planner then picks its own pass count from that slice and its observed
   // key cardinalities; the serial path above runs dimensions one at a
   // time, so each gets the full budget there.) The split never changes
-  // mined output, only pass counts. Both rules live in
-  // per_dimension_mining_configs so the incremental miner can reproduce
-  // them exactly.
+  // mined output, only pass counts.
   const auto dim_configs =
       per_dimension_mining_configs(pre, registry, config, dimensions);
   // parallel_for drains on the calling thread as well as the pool workers,

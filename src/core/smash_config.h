@@ -87,8 +87,10 @@ struct SmashConfig {
   // week-scale batch windows complete exactly instead of relying on
   // lowered postings caps that undercount. Interactions: with
   // num_threads > 1 the concurrent dimension fan-out divides this budget
-  // evenly across the dimensions mined in parallel, so the SUM of
-  // simultaneously resident postings indexes stays within budget; within
+  // across the dimensions mined in parallel — each keeps a floor of a
+  // quarter of its even share and the rest is split in proportion to
+  // estimated postings entries (see per_dimension_mining_configs) — so the
+  // SUM of simultaneously resident postings indexes stays within budget; within
   // a pass, probe sharding adds 4 bytes × kept-servers of counter scratch
   // per thread, which is NOT counted against the budget (it is
   // output-side, not postings-side). The only case a pass exceeds the
@@ -97,38 +99,6 @@ struct SmashConfig {
   // memory for passes: S passes re-scan the probe sets S times (see
   // docs/MEMORY.md for the worked week-scale numbers).
   std::size_t join_memory_budget_bytes = 0;
-
-  // How the concurrent dimension fan-out splits join_memory_budget_bytes
-  // across the dimensions mined in parallel. true (default): each
-  // dimension keeps a floor of a quarter of its even share and the rest
-  // of the budget is split in proportion to estimated postings entries
-  // (the client join — by far the largest index — gets most of the
-  // budget, so a skewed workload runs far fewer total shard passes).
-  // false: the even split of earlier releases. Either way the sum of
-  // simultaneously resident postings indexes stays within the budget, and
-  // the split only changes pass counts — mined output is byte-identical.
-  // Irrelevant when join_memory_budget_bytes == 0 or num_threads <= 1
-  // (dimensions mined one at a time each get the full budget).
-  bool weighted_budget_split = true;
-
-  // --- incremental re-mining (streaming delta path) ---------------------------
-  // Knobs consumed by core::DeltaMiner when the stream engine runs with
-  // StreamConfig::incremental_mining. Both are inert on the batch path.
-  //
-  // Fall back to a full per-dimension mine when more than this fraction of
-  // the dimension's nodes changed since the last close — below the cutoff
-  // the delta join probes only the changed nodes; above it, probing
-  // approaches full-join cost while paying extra bookkeeping.
-  double delta_max_changed_fraction = 0.5;
-  // Opt-in speed mode: repair the previous Louvain partition with
-  // graph::louvain_warm_start instead of re-running louvain_refined when a
-  // dimension's graph changed. APPROXIMATE — partitions may differ from
-  // the from-scratch run, so this is excluded from the incremental-vs-full
-  // byte-identity matrix (kept off by every differential test and CI
-  // gate). Default off: the identity-preserving path re-partitions changed
-  // graphs and reuses cached partitions only when the graph is bitwise
-  // unchanged.
-  bool delta_approximate_louvain = false;
 
   // --- pruning (paper §III-D) -------------------------------------------------
   // A server is "referred by" a host if at least this fraction of its
@@ -145,13 +115,8 @@ struct SmashConfig {
   // Mined output never depends on this pointer.
   obs::Registry* metrics = nullptr;
 
-  // Community-detection tunables, including the chunked-parallel local
-  // moving knobs: louvain.num_threads == 0 (default) inherits this
-  // config's per-dimension thread budget (num_threads overall; the
-  // leftover-thread share for the client dimension inside the concurrent
-  // fan-out), and louvain.chunk_size sizes the deterministic chunked
-  // sweeps. Partitions are byte-identical for every thread count and
-  // chunk size, so these trade wall-clock only.
+  // Community-detection tunables. Louvain always runs serially within a
+  // dimension; num_threads parallelizes across dimensions and joins only.
   graph::LouvainOptions louvain;
 
   // Convenience: same threshold for both campaign classes (used by the

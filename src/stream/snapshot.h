@@ -101,12 +101,10 @@ class DetectionSnapshot {
     return peak_resident_postings_bytes_;
   }
 
-  // Louvain execution shape while mining this window, summed across the
-  // dimensions (SmashResult::louvain_stats()): sweeps/moves describe how
-  // hard community detection converged, chunks/stale_reevals how much of
-  // it ran on the chunked-parallel path (both 0 when local moving was
-  // serial). Like the join counters above, pure observability — verdicts
-  // are byte-identical for every thread count and chunk size.
+  // Louvain work while mining this window, summed across the dimensions
+  // (SmashResult::louvain_stats()): sweeps/moves describe how hard
+  // community detection converged. Like the join counters above, pure
+  // observability.
   const graph::LouvainStats& louvain_stats() const noexcept {
     return louvain_stats_;
   }
@@ -125,13 +123,6 @@ class DetectionSnapshot {
   // How this engine's state was rebuilt, when it came from
   // StreamEngine::recover(); all-zero otherwise.
   const RecoveryStats& recovery_stats() const noexcept { return recovery_stats_; }
-
-  // Incremental-mining counters of the mine that produced this snapshot
-  // (core/delta_mine.h); enabled == false when the window was mined by the
-  // full path. Pure observability: excluded from digest() — the
-  // incremental-vs-full differential tests compare snapshots that
-  // legitimately differ only here.
-  const core::DeltaStats& delta_stats() const noexcept { return delta_stats_; }
 
   // Deterministic, humanly diffable rendering of every verdict-bearing
   // field (campaigns, per-2LD and per-IP verdicts sorted by key, window
@@ -157,7 +148,6 @@ class DetectionSnapshot {
   graph::LouvainStats louvain_stats_{};
   IngestStats ingest_stats_{};
   RecoveryStats recovery_stats_{};
-  core::DeltaStats delta_stats_{};
   std::chrono::steady_clock::time_point built_at_{};
 };
 

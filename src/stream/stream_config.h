@@ -77,38 +77,12 @@ struct StreamConfig {
   // republish, as the batch-equivalence tests drive it.
   bool async_mining = false;
 
-  // Reuse each epoch shard's preprocessed form (cached at seal time,
-  // core/preshard.h): every re-mine merges the cached shards instead of
-  // re-preprocessing the assembled window, so sliding the window costs
-  // O(new epoch) per-request work. Output is byte-identical either way;
-  // disable only to cross-check against the assemble-and-preprocess path.
-  bool reuse_shard_preprocess = true;
-
-  // Incremental delta re-mining (ROADMAP #1, core/delta_mine.h): each close
-  // hands the pipeline a WindowDelta (epochs added/evicted since the last
-  // mined window, changed-2LD hint) and the mine reuses per-dimension caches
-  // — translated key sets, similarity edges, Louvain partitions — touching
-  // only what changed. Off (default) = today's full re-mine per close. With
-  // smash.delta_approximate_louvain off (its default), published snapshots
-  // are byte-identical to the full path for every thread count, sync or
-  // async, across slides and recovery (the differential tests and the
-  // stream fuzzer enforce it); fallbacks to a full mine (first close, post
-  // recovery, cap/budget interactions, large deltas) are automatic and
-  // reported per snapshot via DetectionSnapshot::delta_stats(). Requires
-  // reuse_shard_preprocess (validate()): the delta caches key off the
-  // merged shard id spaces.
-  bool incremental_mining = false;
-
-  // Test/bench hook: artificial delay (unit: milliseconds; default 0 =
-  // none) per mine, before snapshot build, used to force epoch closes to
-  // pile up behind an in-flight mine so coalescing is deterministic in
-  // tests. Leave 0 in production.
-  std::uint32_t mine_throttle_ms = 0;
-
-  // Test hook: invoked once per mine at the throttle point (after mining,
-  // before snapshot build). An exception it throws takes the mine-failure
-  // path: the engine stays drainable and finish()/wait_for_mining() rethrow
-  // the error on the writer thread. Leave null in production.
+  // Test hook: invoked once per mine, after mining and before snapshot
+  // build. Tests make it sleep to force epoch closes to pile up behind an
+  // in-flight mine (deterministic coalescing), or throw to take the
+  // mine-failure path: the engine stays drainable and
+  // finish()/wait_for_mining() rethrow the error on the writer thread.
+  // Leave null in production.
   std::function<void()> mine_test_hook;
 
   // Test hook: invoked inside DetectionSnapshot::build, after the header

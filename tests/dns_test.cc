@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
+#include <string>
 
 #include "core/file_classifier.h"
 #include "dns/dga.h"
@@ -13,6 +15,13 @@ struct TwoLdCase {
   std::string host;
   std::string expected;
 };
+
+// Without a printer gtest names each case by the raw bytes of the struct,
+// heap pointers included, so the CTest names would change on every build.
+void PrintTo(const TwoLdCase& c, std::ostream* os) {
+  *os << '(' << ::testing::PrintToString(c.host) << ", "
+      << ::testing::PrintToString(c.expected) << ')';
+}
 
 class Effective2ldTest : public ::testing::TestWithParam<TwoLdCase> {};
 

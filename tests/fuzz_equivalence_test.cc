@@ -3,21 +3,24 @@
 //  - random traces through SmashPipeline at threads {1, 4} x join budgets
 //    {unbounded, tiny} must produce identical SmashResults — every
 //    execution strategy (probe-parallel joins, key-range-sharded joins,
-//    chunked-parallel Louvain, concurrent dimension fan-out with the
-//    weighted budget split) is a pure wall-clock/memory trade;
-//  - random event schedules (late events, multi-epoch gaps) through sync
-//    vs async StreamEngines must publish byte-identical final snapshots
-//    with every epoch close accounted.
+//    concurrent dimension fan-out with the weighted budget split) is a
+//    pure wall-clock/memory trade;
+//  - random event schedules (late events, multi-epoch gaps) and random
+//    scenario-builder configs through sync vs async StreamEngines must
+//    publish byte-identical final snapshots with every epoch close
+//    accounted.
 //
 // Runs fuzz_seeds() seeds (default 20): SMASH_FUZZ_ITERS scales the seed
 // count (the nightly long-fuzz job uses 500), SMASH_FUZZ_SEED pins a
 // single failing seed for reproduction.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/pipeline.h"
@@ -201,7 +204,9 @@ TEST(FuzzParallelPipeline, RandomTracesThreadsAndBudgetsMatch) {
   }
   // The harness must exercise real detections, not vacuously-empty runs
   // (over the full sweep; a single pinned seed may legitimately be quiet).
-  if (!test::fuzz_seed_pinned()) EXPECT_GT(campaigns_found, 0u);
+  if (!test::fuzz_seed_pinned()) {
+    EXPECT_GT(campaigns_found, 0u);
+  }
 }
 
 TEST(FuzzParallelPipeline, ReferenceRunIsDeterministic) {
@@ -259,7 +264,9 @@ TEST(FuzzStreamEquivalence, RandomSchedulesSyncVsAsync) {
   }
   // The schedules must produce real verdicts for the comparison to bite
   // (over the full sweep; a single pinned seed may legitimately be quiet).
-  if (!test::fuzz_seed_pinned()) EXPECT_GT(snapshots_with_verdicts, 0u);
+  if (!test::fuzz_seed_pinned()) {
+    EXPECT_GT(snapshots_with_verdicts, 0u);
+  }
 }
 
 TEST(FuzzStreamEquivalence, FinalSyncSnapshotMatchesBatchMineOfWindow) {
@@ -308,103 +315,14 @@ TEST(FuzzStreamEquivalence, FinalSyncSnapshotMatchesBatchMineOfWindow) {
   }
 }
 
-// --- incremental vs full delta re-mining -------------------------------------
-//
-// Random schedules (late events, multi-epoch gaps, window slides) through a
-// full-mine engine and an incremental one: every published snapshot must be
-// byte-identical — the delta caches, the changed-2LD hint, the carried-edge
-// merge and the partition reuse may only change wall-clock, never output.
-// schedule_config varies threads {1, 4}, window sizes, and late-event
-// policy across seeds.
-
-TEST(FuzzIncrementalStream, RandomSchedulesIncrementalVsFullEveryClose) {
-  std::size_t delta_mined_closes = 0;
-  std::size_t fallback_closes = 0;
-  std::size_t evicting_closes = 0;
-  for (const auto seed : fuzz_seeds(12)) {
-    SCOPED_TRACE("seed=" + std::to_string(seed) +
-                 " (rerun with SMASH_FUZZ_SEED=" + std::to_string(seed) + ")");
-    const auto events = random_schedule(seed);
-    const whois::Registry registry;
-    const auto full_config = schedule_config(seed, /*async=*/false);
-    auto incremental_config = full_config;
-    incremental_config.incremental_mining = true;
-
-    stream::StreamEngine full(full_config, registry);
-    stream::StreamEngine incremental(incremental_config, registry);
-    std::uint64_t seen = 0;
-    const auto compare_published = [&] {
-      ASSERT_EQ(full.snapshots_published(), incremental.snapshots_published());
-      if (incremental.snapshots_published() == seen) return;
-      seen = incremental.snapshots_published();
-      const auto a = full.snapshot();
-      const auto b = incremental.snapshot();
-      ASSERT_NE(a, nullptr);
-      ASSERT_NE(b, nullptr);
-      expect_identical_snapshots(*a, *b);
-      EXPECT_TRUE(b->delta_stats().enabled);
-      if (b->delta_stats().dims_delta > 0) ++delta_mined_closes;
-      if (b->delta_stats().full_fallbacks() > 0) ++fallback_closes;
-      if (b->delta_stats().epochs_evicted > 0) ++evicting_closes;
-    };
-    for (const auto& event : events) {
-      synth::ingest_event(full, event);
-      synth::ingest_event(incremental, event);
-      compare_published();
-      if (::testing::Test::HasFatalFailure()) return;
-    }
-    full.finish();
-    incremental.finish();
-    compare_published();
-  }
-  // The sweep must exercise both sides of the cache decision and real
-  // window slides (a pinned seed may legitimately see only one).
-  if (!test::fuzz_seed_pinned()) {
-    EXPECT_GT(delta_mined_closes, 0u);
-    EXPECT_GT(fallback_closes, 0u);
-    EXPECT_GT(evicting_closes, 0u);
-  }
-}
-
-TEST(FuzzIncrementalStream, RandomSchedulesIncrementalAsyncMatchesFullSync) {
-  // Async coalescing skips intermediate windows, so the incremental path
-  // sees multi-epoch deltas between mined windows; the final snapshot must
-  // still match a full-mine sync engine's.
-  for (const auto seed : fuzz_seeds(8)) {
-    SCOPED_TRACE("seed=" + std::to_string(seed) +
-                 " (rerun with SMASH_FUZZ_SEED=" + std::to_string(seed) + ")");
-    const auto events = random_schedule(seed);
-    const whois::Registry registry;
-
-    stream::StreamEngine full(schedule_config(seed, /*async=*/false), registry);
-    for (const auto& event : events) synth::ingest_event(full, event);
-    full.finish();
-
-    auto incremental_config = schedule_config(seed, /*async=*/true);
-    incremental_config.incremental_mining = true;
-    // Throttle mines so closes pile up and coalesce deterministically often.
-    incremental_config.mine_throttle_ms = seed % 2 == 0 ? 2 : 0;
-    stream::StreamEngine incremental(incremental_config, registry);
-    for (const auto& event : events) synth::ingest_event(incremental, event);
-    incremental.finish();
-
-    EXPECT_EQ(full.epochs_closed_total(), incremental.epochs_closed_total());
-    const auto a = full.snapshot();
-    const auto b = incremental.snapshot();
-    ASSERT_NE(a, nullptr);
-    ASSERT_NE(b, nullptr);
-    expect_identical_snapshots(*a, *b);
-  }
-}
-
 // --- randomized scenario-matrix configs --------------------------------------
 //
 // The scenario library (src/synth/scenarios.h) composes shapes the plain
 // random schedule never produces: shared cloud pools tying campaigns to
 // benign tenants, flash crowds, DGA bursts, diurnal load, jittered
 // long-cadence polling. Randomizing the builder's specs per seed and
-// running the stream through full-re-mine vs incremental engines extends
-// the byte-identical-snapshot contract to those shapes. Picked up by the
+// running the stream through sync vs async engines extends the
+// byte-identical-snapshot contract to those shapes. Picked up by the
 // nightly 500-seed sweep via the *Fuzz* filter.
 
 synth::Scenario random_matrix_scenario(std::uint64_t seed) {
@@ -471,43 +389,45 @@ stream::StreamConfig scenario_stream_config(std::uint64_t seed) {
   return config;
 }
 
-TEST(FuzzScenarioStream, RandomScenarioConfigsIncrementalMatchesFull) {
+TEST(FuzzScenarioStream, RandomScenarioConfigsAsyncMatchesSync) {
   std::size_t snapshots_with_verdicts = 0;
   for (const auto seed : fuzz_seeds(8)) {
     SCOPED_TRACE("seed=" + std::to_string(seed) +
                  " (rerun with SMASH_FUZZ_SEED=" + std::to_string(seed) + ")");
     const auto scenario = random_matrix_scenario(seed);
-    const auto full_config = scenario_stream_config(seed);
-    auto incremental_config = full_config;
-    incremental_config.incremental_mining = true;
-
-    stream::StreamEngine full(full_config, scenario.whois);
-    stream::StreamEngine incremental(incremental_config, scenario.whois);
-    std::uint64_t seen = 0;
-    const auto compare_published = [&] {
-      ASSERT_EQ(full.snapshots_published(), incremental.snapshots_published());
-      if (incremental.snapshots_published() == seen) return;
-      seen = incremental.snapshots_published();
-      const auto a = full.snapshot();
-      const auto b = incremental.snapshot();
-      ASSERT_NE(a, nullptr);
-      ASSERT_NE(b, nullptr);
-      expect_identical_snapshots(*a, *b);
-      if (a->num_malicious_servers() > 0) ++snapshots_with_verdicts;
-    };
-    for (const auto& event : scenario.events) {
-      synth::ingest_event(full, event);
-      synth::ingest_event(incremental, event);
-      compare_published();
-      if (::testing::Test::HasFatalFailure()) return;
+    const auto sync_config = scenario_stream_config(seed);
+    auto async_config = sync_config;
+    async_config.async_mining = true;
+    // Slow every other seed's mines so closes pile up and coalesce.
+    if (seed % 2 == 0) {
+      async_config.mine_test_hook = [] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      };
     }
-    full.finish();
-    incremental.finish();
-    compare_published();
+
+    stream::StreamEngine sync_engine(sync_config, scenario.whois);
+    stream::StreamEngine async_engine(async_config, scenario.whois);
+    for (const auto& event : scenario.events) {
+      synth::ingest_event(sync_engine, event);
+      synth::ingest_event(async_engine, event);
+    }
+    sync_engine.finish();
+    async_engine.finish();
+
+    EXPECT_EQ(sync_engine.epochs_closed_total(),
+              async_engine.epochs_closed_total());
+    const auto a = sync_engine.snapshot();
+    const auto b = async_engine.snapshot();
+    ASSERT_NE(a, nullptr);
+    ASSERT_NE(b, nullptr);
+    expect_identical_snapshots(*a, *b);  // digest plus per-field diff
+    if (a->num_malicious_servers() > 0) ++snapshots_with_verdicts;
   }
   // The randomized scenarios must produce real verdicts for the identity
   // gate to bite (over the full sweep; a pinned seed may be benign-only).
-  if (!test::fuzz_seed_pinned()) EXPECT_GT(snapshots_with_verdicts, 0u);
+  if (!test::fuzz_seed_pinned()) {
+    EXPECT_GT(snapshots_with_verdicts, 0u);
+  }
 }
 
 // --- seeded WAL/checkpoint corruption fuzzer ---------------------------------
@@ -678,7 +598,9 @@ TEST(FuzzDurability, CorruptedWalTruncatesToValidPrefixOrFailsLoudly) {
   // Truncation damage always recovers; over the sweep both outcomes of the
   // bit-flip shape should appear (a pinned seed may only see one).
   EXPECT_GT(recovered_clean, 0u);
-  if (!test::fuzz_seed_pinned()) EXPECT_GT(failed_loudly, 0u);
+  if (!test::fuzz_seed_pinned()) {
+    EXPECT_GT(failed_loudly, 0u);
+  }
 }
 
 TEST(FuzzDurability, CorruptedCheckpointsFallBackOrFailLoudly) {
@@ -739,7 +661,9 @@ TEST(FuzzDurability, CorruptedCheckpointsFallBackOrFailLoudly) {
 
     std::filesystem::remove_all(config.durability_dir);
   }
-  if (!test::fuzz_seed_pinned()) EXPECT_GT(fell_back, 0u);
+  if (!test::fuzz_seed_pinned()) {
+    EXPECT_GT(fell_back, 0u);
+  }
 }
 
 }  // namespace

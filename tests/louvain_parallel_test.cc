@@ -1,15 +1,17 @@
-// Differential suite for the deterministic chunked-parallel Louvain local
-// moving: for every tested thread count and chunk size — including the
-// degenerate chunk of one node and a chunk covering the whole graph — the
-// partition must be byte-identical to the serial seed implementation, on
-// seeded random graphs and on the classic edge-case graphs. Conventions
-// (seeds, env knobs, reproduction) in docs/TESTING.md.
+// Concurrency suite for Louvain: the pipeline mines its dimensions on
+// concurrent threads, each running louvain_refined on its own graph, so
+// Louvain must be reentrant — no hidden shared scratch. For every tested
+// thread count, runs on concurrent threads must be byte-identical to a run
+// on the calling thread, on seeded random graphs and on the classic
+// edge-case graphs. Conventions (seeds, env knobs, reproduction) in
+// docs/TESTING.md.
 #include "graph/louvain.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "graph/graph.h"
@@ -22,14 +24,7 @@ using test::fuzz_seeds;
 using test::random_clustered_graph;
 using test::random_weighted_graph;
 
-constexpr unsigned kThreadCounts[] = {1u, 2u, 4u, 8u};
-
-// The tested chunk sizes: single-node chunks (every node applied against
-// fully fresh state), a mid-size chunk, and one chunk spanning the whole
-// graph (maximum staleness pressure on the apply-phase conflict check).
-std::vector<std::uint32_t> chunk_sizes(const Graph& g) {
-  return {1u, 64u, std::max(g.num_nodes(), 1u)};
-}
+constexpr unsigned kThreadCounts[] = {2u, 4u, 8u};
 
 void expect_same_result(const LouvainResult& serial, const LouvainResult& other,
                         const std::string& context) {
@@ -37,67 +32,39 @@ void expect_same_result(const LouvainResult& serial, const LouvainResult& other,
   EXPECT_EQ(serial.num_communities, other.num_communities) << context;
   EXPECT_EQ(serial.levels, other.levels) << context;
   EXPECT_EQ(serial.modularity, other.modularity) << context;  // bitwise
-  // The chunked path replays the serial trajectory, so the trajectory
-  // counters agree with the serial run no matter how it was executed.
-  EXPECT_EQ(serial.stats.sweeps, other.stats.sweeps) << context;
-  EXPECT_EQ(serial.stats.moves, other.stats.moves) << context;
-  EXPECT_EQ(serial.stats.evaluated_nodes, other.stats.evaluated_nodes) << context;
+  EXPECT_EQ(serial.stats, other.stats) << context;
 }
 
-// Runs the full thread x chunk matrix against the serial result.
-void expect_matrix_matches_serial(const Graph& g, const std::string& context,
-                                  bool refined = false) {
-  const LouvainOptions serial_options;
-  const LouvainResult serial =
-      refined ? louvain_refined(g, serial_options) : louvain(g, serial_options);
-  EXPECT_EQ(serial.stats.chunks, 0u) << context;        // serial path ran
-  EXPECT_EQ(serial.stats.stale_reevals, 0u) << context;
+LouvainResult run(const Graph& g, bool refined) {
+  return refined ? louvain_refined(g) : louvain(g);
+}
 
+// Runs Louvain on `threads` concurrent threads over the same graph and
+// compares every result against a run on the calling thread.
+void expect_concurrent_runs_match_serial(const Graph& g,
+                                         const std::string& context,
+                                         bool refined = false) {
+  const LouvainResult serial = run(g, refined);
   for (const unsigned threads : kThreadCounts) {
-    for (const std::uint32_t chunk : chunk_sizes(g)) {
-      LouvainOptions options;
-      options.num_threads = threads;
-      options.chunk_size = chunk;
-      const LouvainResult result =
-          refined ? louvain_refined(g, options) : louvain(g, options);
-      expect_same_result(serial, result,
+    std::vector<LouvainResult> results(threads);
+    std::vector<std::thread> workers;
+    workers.reserve(threads);
+    for (unsigned t = 0; t < threads; ++t) {
+      workers.emplace_back([&, t] { results[t] = run(g, refined); });
+    }
+    for (auto& worker : workers) worker.join();
+    for (unsigned t = 0; t < threads; ++t) {
+      expect_same_result(serial, results[t],
                          context + " threads=" + std::to_string(threads) +
-                             " chunk=" + std::to_string(chunk));
+                             " worker=" + std::to_string(t));
     }
   }
-}
-
-TEST(LouvainParallel, SerialDefaultsUnchanged) {
-  const Graph g = random_clustered_graph(12, 8, 0.8, 7);
-  // Default options and an explicit num_threads=1/chunk_size=0 are the
-  // same code path: the seed's serial sweep, chunk counters untouched.
-  const LouvainResult a = louvain(g);
-  LouvainOptions options;
-  options.num_threads = 1;
-  options.chunk_size = 0;
-  const LouvainResult b = louvain(g, options);
-  expect_same_result(a, b, "explicit serial options");
-  EXPECT_EQ(a.stats.chunks, 0u);
-  EXPECT_GT(a.stats.sweeps, 0u);
-  EXPECT_GT(a.stats.evaluated_nodes, 0u);
-}
-
-TEST(LouvainParallel, ChunkSizeForcesChunkedPathEvenSingleThreaded) {
-  const Graph g = random_clustered_graph(12, 8, 0.8, 7);
-  const LouvainResult serial = louvain(g);
-
-  LouvainOptions options;
-  options.num_threads = 1;
-  options.chunk_size = 16;
-  const LouvainResult chunked = louvain(g, options);
-  expect_same_result(serial, chunked, "threads=1 chunk=16");
-  EXPECT_GT(chunked.stats.chunks, 0u);  // the chunked path actually ran
 }
 
 TEST(LouvainParallel, EmptyGraph) {
   GraphBuilder builder(0);
   const Graph g = std::move(builder).build();
-  expect_matrix_matches_serial(g, "empty");
+  expect_concurrent_runs_match_serial(g, "empty");
   const LouvainResult result = louvain(g);
   EXPECT_EQ(result.num_communities, 0u);
 }
@@ -105,13 +72,13 @@ TEST(LouvainParallel, EmptyGraph) {
 TEST(LouvainParallel, SingletonAndIsolatedNodes) {
   {
     GraphBuilder builder(1);
-    expect_matrix_matches_serial(std::move(builder).build(), "singleton");
+    expect_concurrent_runs_match_serial(std::move(builder).build(), "singleton");
   }
   {
     // Edgeless graph: everyone stays a singleton community.
     GraphBuilder builder(17);
     const Graph g = std::move(builder).build();
-    expect_matrix_matches_serial(g, "edgeless");
+    expect_concurrent_runs_match_serial(g, "edgeless");
     EXPECT_EQ(louvain(g).num_communities, 17u);
   }
   {
@@ -120,8 +87,8 @@ TEST(LouvainParallel, SingletonAndIsolatedNodes) {
     for (std::uint32_t i = 0; i < 6; ++i) {
       for (std::uint32_t j = i + 1; j < 6; ++j) builder.add_edge(i, j, 1.0);
     }
-    expect_matrix_matches_serial(std::move(builder).build(),
-                                 "clique+isolated");
+    expect_concurrent_runs_match_serial(std::move(builder).build(),
+                                        "clique+isolated");
   }
 }
 
@@ -130,7 +97,7 @@ TEST(LouvainParallel, StarGraph) {
   for (std::uint32_t leaf = 1; leaf < 33; ++leaf) {
     builder.add_edge(0, leaf, 1.0);
   }
-  expect_matrix_matches_serial(std::move(builder).build(), "star");
+  expect_concurrent_runs_match_serial(std::move(builder).build(), "star");
 }
 
 TEST(LouvainParallel, CliqueGraph) {
@@ -141,7 +108,7 @@ TEST(LouvainParallel, CliqueGraph) {
     }
   }
   const Graph g = std::move(builder).build();
-  expect_matrix_matches_serial(g, "clique");
+  expect_concurrent_runs_match_serial(g, "clique");
   const LouvainResult result = louvain(g);
   EXPECT_EQ(result.num_communities, 1u);  // a clique never splits
 }
@@ -152,7 +119,7 @@ TEST(LouvainParallel, RandomGraphsMatchSerial) {
     const Graph g = random_weighted_graph(
         /*n=*/150 + static_cast<std::uint32_t>(seed % 5) * 37,
         /*edges=*/600, seed);
-    expect_matrix_matches_serial(g, "random seed=" + std::to_string(seed));
+    expect_concurrent_runs_match_serial(g, "random seed=" + std::to_string(seed));
   }
 }
 
@@ -162,7 +129,8 @@ TEST(LouvainParallel, ClusteredGraphsMatchSerial) {
     const Graph g = random_clustered_graph(
         /*clusters=*/16 + static_cast<std::uint32_t>(seed % 4) * 4,
         /*cluster_size=*/8, /*intra_p=*/0.7, seed);
-    expect_matrix_matches_serial(g, "clustered seed=" + std::to_string(seed));
+    expect_concurrent_runs_match_serial(
+        g, "clustered seed=" + std::to_string(seed));
   }
 }
 
@@ -170,47 +138,32 @@ TEST(LouvainParallel, RefinedMatchesSerial) {
   for (const auto seed : fuzz_seeds(4)) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     const Graph g = random_clustered_graph(12, 10, 0.75, seed ^ 0xbeefULL);
-    expect_matrix_matches_serial(g, "refined seed=" + std::to_string(seed),
-                                 /*refined=*/true);
+    expect_concurrent_runs_match_serial(
+        g, "refined seed=" + std::to_string(seed), /*refined=*/true);
   }
 }
 
 TEST(LouvainParallel, StatsInvariantAcrossThreadCounts) {
-  // At a fixed chunk size, evaluation is pure per node and the apply order
-  // is fixed, so even the chunk/stale counters cannot depend on the thread
-  // count.
-  const Graph g = random_clustered_graph(20, 8, 0.7, 42);
-  LouvainOptions base;
-  base.chunk_size = 32;
-  base.num_threads = 1;
-  const LouvainResult reference = louvain_refined(g, base);
-  EXPECT_GT(reference.stats.chunks, 0u);
-
-  for (const unsigned threads : {2u, 4u, 8u}) {
-    LouvainOptions options = base;
-    options.num_threads = threads;
-    const LouvainResult result = louvain_refined(g, options);
-    EXPECT_EQ(reference.stats, result.stats) << "threads=" << threads;
-    EXPECT_EQ(reference.community_of, result.community_of)
-        << "threads=" << threads;
+  // Concurrent runs on *different* graphs — the pipeline's shape, one graph
+  // per dimension — each reproduce their own serial result and counters.
+  std::vector<Graph> graphs;
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    graphs.push_back(random_clustered_graph(20, 8, 0.7, 42 + i));
   }
-}
+  std::vector<LouvainResult> serial;
+  for (const auto& g : graphs) serial.push_back(louvain_refined(g));
+  EXPECT_GT(serial[0].stats.sweeps, 0u);
+  EXPECT_GT(serial[0].stats.evaluated_nodes, 0u);
 
-TEST(LouvainParallel, TrajectoryCountersInvariantAcrossChunkSizes) {
-  // sweeps/moves/evaluated_nodes describe the (shared) serial trajectory;
-  // only chunks and stale_reevals may differ with the chunk size.
-  const Graph g = random_clustered_graph(20, 8, 0.7, 43);
-  const LouvainResult serial = louvain(g);
-  for (const std::uint32_t chunk : chunk_sizes(g)) {
-    LouvainOptions options;
-    options.num_threads = 4;
-    options.chunk_size = chunk;
-    const LouvainResult result = louvain(g, options);
-    EXPECT_EQ(serial.stats.sweeps, result.stats.sweeps) << "chunk=" << chunk;
-    EXPECT_EQ(serial.stats.moves, result.stats.moves) << "chunk=" << chunk;
-    EXPECT_EQ(serial.stats.evaluated_nodes, result.stats.evaluated_nodes)
-        << "chunk=" << chunk;
-    EXPECT_EQ(serial.community_of, result.community_of) << "chunk=" << chunk;
+  std::vector<LouvainResult> concurrent(graphs.size());
+  std::vector<std::thread> workers;
+  for (std::size_t i = 0; i < graphs.size(); ++i) {
+    workers.emplace_back(
+        [&, i] { concurrent[i] = louvain_refined(graphs[i]); });
+  }
+  for (auto& worker : workers) worker.join();
+  for (std::size_t i = 0; i < graphs.size(); ++i) {
+    expect_same_result(serial[i], concurrent[i], "graph=" + std::to_string(i));
   }
 }
 

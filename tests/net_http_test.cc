@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 namespace smash::net {
 namespace {
 
@@ -9,6 +12,13 @@ struct UriFileCase {
   std::string path;
   std::string expected;
 };
+
+// Prints the case as (path, expected) so the CTest names are stable across
+// builds instead of embedding the struct's raw bytes.
+void PrintTo(const UriFileCase& c, std::ostream* os) {
+  *os << '(' << ::testing::PrintToString(c.path) << ", "
+      << ::testing::PrintToString(c.expected) << ')';
+}
 
 class UriFileTest : public ::testing::TestWithParam<UriFileCase> {};
 

@@ -231,24 +231,30 @@ TEST(ParallelMining, WeightedBudgetSplitReducesShardPasses) {
 
   // A budget that fits the client index whole but not a quarter of it.
   config.join_memory_budget_bytes = 16384;
-
-  config.weighted_budget_split = false;
-  const auto even = mine_all_dimensions(pre, registry, config);
-  config.weighted_budget_split = true;
   const auto weighted = mine_all_dimensions(pre, registry, config);
 
-  ASSERT_EQ(even.size(), weighted.size());
+  // The even split, reproduced directly: each dimension mined alone with a
+  // quarter of the budget.
+  SmashConfig even_config = config;
+  even_config.num_threads = 1;
+  even_config.join_memory_budget_bytes =
+      config.join_memory_budget_bytes / weighted.size();
+
+  ASSERT_EQ(unbounded.size(), weighted.size());
   std::size_t even_passes = 0, weighted_passes = 0;
-  for (std::size_t d = 0; d < even.size(); ++d) {
-    expect_same_ashes(unbounded[d], even[d]);
+  for (std::size_t d = 0; d < weighted.size(); ++d) {
     expect_same_ashes(unbounded[d], weighted[d]);
-    even_passes += even[d].join_stats.shard_passes;
     weighted_passes += weighted[d].join_stats.shard_passes;
+    even_passes += mine_dimension(static_cast<Dimension>(d), pre, registry,
+                                  even_config)
+                       .join_stats.shard_passes;
   }
   // The even split starves the dominant client join into extra passes;
-  // the weighted split provably avoids them without changing output.
-  EXPECT_GT(even_passes, even.size());
+  // the weighted split avoids them without changing output.
+  EXPECT_GT(even_passes, weighted.size());
   EXPECT_LT(weighted_passes, even_passes);
+  // Every join's index fits its weighted slice: one pass each.
+  EXPECT_EQ(weighted_passes, weighted.size());
 }
 
 TEST(ParallelMining, WeightedSplitIdenticalAcrossThreadCounts) {
@@ -276,9 +282,8 @@ TEST(ParallelMining, WeightedSplitIdenticalAcrossThreadCounts) {
 }
 
 // LouvainStats ride SmashResult like JoinStats: per-dimension counters are
-// populated, the aggregate accessor sums them, and the chunked-parallel
-// path (engaged by the threaded client dimension) reports its chunks while
-// leaving the mined output untouched.
+// populated, the aggregate accessor sums them, and they do not depend on
+// the thread count (Louvain runs serially inside each dimension).
 TEST(ParallelMining, LouvainStatsSurfacedThroughResult) {
   const net::Trace trace = structured_trace();
   const whois::Registry registry;
@@ -290,22 +295,14 @@ TEST(ParallelMining, LouvainStatsSurfacedThroughResult) {
   const auto serial_stats = serial.louvain_stats();
   EXPECT_GT(serial_stats.sweeps, 0u);
   EXPECT_GT(serial_stats.evaluated_nodes, 0u);
-  EXPECT_EQ(serial_stats.chunks, 0u);  // every dimension ran serial sweeps
 
-  // 8 threads across 4 dimensions: the client dimension keeps the 5
-  // leftover threads, so its Louvain runs the chunked-parallel path.
   config.num_threads = 8;
   const auto threaded = SmashPipeline(config).run(trace, registry);
-  const auto threaded_stats = threaded.louvain_stats();
-  // The trajectory is shared; only the execution shape may differ.
-  EXPECT_EQ(serial_stats.sweeps, threaded_stats.sweeps);
-  EXPECT_EQ(serial_stats.moves, threaded_stats.moves);
-  EXPECT_EQ(serial_stats.evaluated_nodes, threaded_stats.evaluated_nodes);
-  EXPECT_GT(threaded_stats.chunks, 0u);  // the client dimension ran chunked
+  EXPECT_EQ(serial_stats, threaded.louvain_stats());
 
   std::size_t summed = 0;
   for (const auto& dim : threaded.dims) summed += dim.louvain_stats.sweeps;
-  EXPECT_EQ(summed, threaded_stats.sweeps);
+  EXPECT_EQ(summed, threaded.louvain_stats().sweeps);
 }
 
 TEST(ParallelMining, FullPipelineMatchesSerial) {

@@ -6,7 +6,9 @@
 // of activation, and unflagged once the window slides past it.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/pipeline.h"
@@ -225,7 +227,9 @@ TEST(AsyncStreamCoalescing, BurstOfClosesSkipsToNewestWindow) {
   config.async_mining = true;
   // Throttle each mine well past the feed time of an epoch, so closes pile
   // up behind the in-flight mine and must coalesce.
-  config.mine_throttle_ms = 150;
+  config.mine_test_hook = [] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(150));
+  };
   StreamEngine engine(config, scenario.whois);
   synth::feed(engine, scenario);
   engine.finish();
@@ -242,7 +246,9 @@ TEST(AsyncStreamCoalescing, BurstOfClosesSkipsToNewestWindow) {
   EpochId last_epoch = 0;
   for (std::size_t i = 0; i < records.size(); ++i) {
     accounted += records[i].epochs_closed;
-    if (i > 0) EXPECT_GT(records[i].last_epoch, last_epoch);  // newest wins
+    if (i > 0) {
+      EXPECT_GT(records[i].last_epoch, last_epoch);  // newest wins
+    }
     last_epoch = records[i].last_epoch;
   }
   EXPECT_EQ(accounted, engine.epochs_closed_total());

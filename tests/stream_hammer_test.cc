@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <string>
@@ -129,7 +130,9 @@ TEST(StreamHammer, AsyncCoalescedPublication) {
   config.async_mining = true;
   // Slow each mine enough that closes pile up behind it and coalesce —
   // publications then skip windows, the racier schedule.
-  config.mine_throttle_ms = 5;
+  config.mine_test_hook = [] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  };
   StreamEngine engine(config, scenario.whois);
   const auto run = run_hammer(engine, scenario);
   EXPECT_GT(run.reads, 0u);

@@ -35,6 +35,8 @@
 #include <variant>
 #include <vector>
 
+#include <sys/socket.h>
+
 #include "bench_common.h"
 #include "obs/metrics.h"
 #include "serve/client.h"
@@ -105,7 +107,10 @@ struct StageSpec {
   // requests are still being sent, so responses pile up against the
   // connection's pending bound and the shedding path (kRejected) engages.
   // The receiver never stops entirely — its slow progress keeps the
-  // socket-buffer chain from wedging the blocking sender.
+  // socket-buffer chain from wedging the blocking sender. The client's
+  // receive buffer is pinned small (kSlowConsumerRcvbufBytes) so the
+  // backlog queues on the server, not in a loopback buffer that the
+  // kernel would otherwise autotune up to tcp_rmem's maximum (MiBs).
   bool slow_consumer = false;
 };
 
@@ -147,12 +152,20 @@ struct StageResult {
   }
 };
 
+// SO_RCVBUF of a slow-consumer stage's client socket. Setting it also
+// switches off receive-buffer autotuning for that socket.
+constexpr int kSlowConsumerRcvbufBytes = 4096;
+
 // Runs one stage over a fresh connection. Sender and receiver share the
 // socket: the sender paces scheduled sends (bursting when behind), the
 // receiver matches responses back to scheduled send times by request_id.
 StageResult run_stage(const StageSpec& stage, std::uint16_t port,
                       const std::vector<std::string>& hosts) {
   smash::serve::BlockingClient client("127.0.0.1", port);
+  if (stage.slow_consumer) {
+    ::setsockopt(client.fd(), SOL_SOCKET, SO_RCVBUF, &kSlowConsumerRcvbufBytes,
+                 sizeof(kSlowConsumerRcvbufBytes));
+  }
   StageResult result;
 
   // Upper bound on requests (peak rate * duration, plus slack) so the
@@ -335,7 +348,10 @@ int main(int argc, char** argv) {
   }
 
   smash::bench::JsonReporter report("serve");
-  bool shedding_seen = false;
+  // The overload stage exists to drive the shedding path: it must see
+  // kRejected answers itself (the stale probe's kStale answers are a
+  // separate check and do not count).
+  bool overload_shed = false;
   for (const auto& stage : stages) {
     if (!wants(stage.name)) continue;
     const StageResult r = run_stage(stage, server.port(), hosts);
@@ -345,7 +361,7 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(r.sent - r.received));
       return 1;
     }
-    shedding_seen = shedding_seen || r.rejected > 0 || r.stale > 0;
+    if (stage.slow_consumer) overload_shed = r.rejected > 0;
     const double achieved =
         r.duration_ms > 0.0
             ? static_cast<double>(r.received) / (r.duration_ms / 1e3)
@@ -383,7 +399,6 @@ int main(int argc, char** argv) {
     StageSpec probe{"stale_probe", 0.5, 400.0, 400.0,
                     StageSpec::Shape::kStatic};
     const StageResult r = run_stage(probe, server.port(), hosts);
-    shedding_seen = shedding_seen || r.stale > 0;
     if (r.stale != r.received) {
       std::fprintf(stderr,
                    "loadgen: stalled mining must answer kStale (%llu of %llu)\n",
@@ -410,9 +425,10 @@ int main(int argc, char** argv) {
     engine.finish();
   }
 
-  if (!shedding_seen && stage_filter.empty()) {
+  if (wants("overload") && !overload_shed) {
     std::fprintf(stderr,
-                 "loadgen: no stage shed explicitly (rejected/stale all 0)\n");
+                 "loadgen: the overload stage answered no request kRejected — "
+                 "the shedding path was not exercised\n");
     return 1;
   }
 

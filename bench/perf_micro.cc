@@ -23,7 +23,6 @@
 namespace {
 
 using smash::graph::cooccurrence_join;
-using smash::graph::cooccurrence_join_parallel;
 using smash::graph::cooccurrence_join_reference;
 using smash::graph::LouvainResult;
 
@@ -51,9 +50,11 @@ void bench_join(smash::bench::JsonReporter& report, std::uint32_t items,
   const double hashmap_ms = smash::bench::time_best_ms(repeats, [&] {
     hashmap_pairs = cooccurrence_join_reference(data).size();
   });
+  smash::graph::JoinOptions four_threads;
+  four_threads.num_threads = 4;
   std::size_t parallel_pairs = 0;
   const double parallel_ms = smash::bench::time_best_ms(repeats, [&] {
-    parallel_pairs = cooccurrence_join_parallel(data, 1, {}, 4).size();
+    parallel_pairs = cooccurrence_join(data, 1, four_threads).size();
   });
 
   report.add("join/hashmap/" + suffix, hashmap_ms,

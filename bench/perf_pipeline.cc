@@ -2,8 +2,10 @@
 // correlate -> prune -> campaigns) per dataset preset, serial vs threaded
 // mining, written to BENCH_pipeline.json.
 //
-// The week-scale section exercises the bounded-memory sharded join on the
-// monolithic 2012week window three ways: the default-cap status quo
+// The week-scale section exercises graph::cooccurrence_join's memory
+// budget (JoinOptions::memory_budget_bytes, set from
+// SmashConfig::join_memory_budget_bytes) on the monolithic 2012week
+// window three ways: the default-cap status quo
 // (whose stop-file cap trips postings_budget_exceeded at week scale and
 // undercounts), an exact in-RAM reference with inert caps, and a
 // join_memory_budget_bytes a quarter of the exact run's observed peak
@@ -134,8 +136,8 @@ bool bench_week_budget(smash::bench::JsonReporter& report, bool smoke,
       unbounded.join_shard_passes(),
       unbounded.postings_budget_exceeded() ? 1 : 0);
 
-  // 3) Bounded-memory sharded join at a quarter of the exact run's peak,
-  //    caps still inert, serial and threaded: must reproduce the exact
+  // 3) Budgeted join (key-range passes) at a quarter of the exact run's
+  //    peak, caps still inert, serial and threaded: must reproduce the exact
   //    reference within budget with no cap firing — week-scale completes
   //    exactly where the status quo had to undercount.
   const std::size_t budget = std::max<std::size_t>(peak_bytes / 4, 1);

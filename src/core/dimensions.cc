@@ -6,7 +6,6 @@
 #include <chrono>
 
 #include "core/file_classifier.h"
-#include "graph/components.h"
 #include "graph/louvain.h"
 #include "graph/similarity_join.h"
 #include "obs/metrics.h"
@@ -44,27 +43,6 @@ DimensionAshes extract_ashes(Dimension dimension, graph::GraphBuilder builder,
     out.ashes.push_back(std::move(ash));
   }
   return out;
-}
-
-// One dimension's candidate-pair join, dispatched on the memory budget:
-// unbounded runs the single-pass (optionally probe-parallel) join; a
-// budget > 0 runs the key-range-sharded bounded-memory join. All three
-// paths produce byte-identical pairs and core JoinStats.
-std::vector<graph::CooccurrencePair> dimension_join(
-    std::span<const util::IdSet> key_sets, std::uint32_t min_shared,
-    const graph::JoinOptions& join_options, const SmashConfig& config,
-    unsigned join_threads, graph::JoinStats& stats) {
-  if (config.join_memory_budget_bytes > 0) {
-    return graph::cooccurrence_join_sharded(key_sets, min_shared, join_options,
-                                            config.join_memory_budget_bytes,
-                                            join_threads, &stats);
-  }
-  if (join_threads > 1) {
-    return graph::cooccurrence_join_parallel(key_sets, min_shared,
-                                             join_options, join_threads,
-                                             &stats);
-  }
-  return graph::cooccurrence_join(key_sets, min_shared, join_options, &stats);
 }
 
 // Estimated postings entries of each dimension's join, from the aggregate
@@ -378,11 +356,12 @@ DimensionAshes mine_dimension(Dimension dimension, const PreprocessResult& pre,
       dimension_join_threads(dimension, config));
   graph::JoinOptions join_options;
   join_options.max_postings_length = input.postings_cap;
+  join_options.memory_budget_bytes = config.join_memory_budget_bytes;
+  join_options.num_threads = input.join_threads;
   graph::JoinStats stats;
   obs::Span join_span("mine.join", dimension_name(dimension).data());
-  const auto pairs = dimension_join(input.key_sets, input.min_shared,
-                                    join_options, config, input.join_threads,
-                                    stats);
+  const auto pairs = graph::cooccurrence_join(input.key_sets, input.min_shared,
+                                              join_options, &stats);
   join_span.finish();
 
   DimensionAshes canonical = extract_canonical_ashes(

@@ -127,10 +127,10 @@ DimensionAshes remap_ashes_to_kept(DimensionAshes canonical,
                                    std::span<const std::uint32_t> canon_to_kept);
 
 // Builds the similarity graph for `dimension` over pre.kept and extracts
-// ASHs. `registry` is only used by the Whois dimension. Honors
-// config.num_threads (probe-range-sharded join) and
-// config.join_memory_budget_bytes (key-range-sharded bounded-memory join);
-// mined output is identical for every thread count and budget.
+// ASHs. `registry` is only used by the Whois dimension. The join runs
+// with JoinOptions{dimension cap, config.join_memory_budget_bytes,
+// dimension_join_threads(dimension, config)}; mined output is identical
+// for every thread count and budget.
 DimensionAshes mine_dimension(Dimension dimension, const PreprocessResult& pre,
                               const whois::Registry& registry,
                               const SmashConfig& config);

@@ -71,16 +71,19 @@ struct SmashConfig {
 
   // --- execution ---------------------------------------------------------------
   // Worker threads for ASH mining (unit: threads; default 1 = fully
-  // serial): dimensions are mined concurrently and the client/file/whois
-  // joins are probe-range sharded across the leftover threads. Results
-  // are identical for any thread count (each dimension is independent and
-  // the sharded join reproduces the serial output exactly).
+  // serial): with num_threads > 1 the dimensions are mined concurrently,
+  // one thread each, and only the client join gets the leftover threads
+  // as probe threads (JoinOptions::num_threads): num_threads - 3 with the
+  // paper's four dimensions, num_threads - 4 with the param dimension. So
+  // below 5 threads every pipeline join probes serially. Results are
+  // identical for any thread count (each dimension is independent and a
+  // probe-parallel join reproduces the serial output exactly).
   unsigned num_threads = 1;
 
   // Upper bound on the resident postings-index memory of any one
   // similarity join (unit: bytes; default 0 = unbounded, single in-RAM
-  // pass). When set, each join is key-range sharded
-  // (graph::cooccurrence_join_sharded): the key universe is partitioned
+  // pass). Each dimension passes it to graph::cooccurrence_join as
+  // JoinOptions::memory_budget_bytes: the key universe is partitioned
   // into passes sized from the observed key cardinalities, passes run
   // sequentially (re-probing the items once per pass), and the per-pass
   // outputs merge into a result byte-identical to the unbounded join —

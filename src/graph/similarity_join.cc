@@ -14,9 +14,9 @@ namespace {
 // Flat CSR inverted index over the key range [key_base, key_base +
 // num_keys): postings of key k are entries[offsets[k - key_base] ..
 // offsets[k - key_base + 1]), in ascending item order (guaranteed by the
-// counting-sort build iterating items in order). key_base is 0 for the
-// whole-universe index; the bounded-memory sharded join builds one rebased
-// index per key range.
+// counting-sort build iterating items in order). An unbounded join builds
+// one index over the whole key universe (key_base 0); a memory budget
+// splits it into one rebased index per planned key range.
 struct PostingsIndex {
   std::vector<std::size_t> offsets;     // size num_keys + 1
   std::vector<std::uint32_t> entries;   // item ids
@@ -39,36 +39,12 @@ void validate_normalized(std::span<const util::IdSet> items) {
   }
 }
 
-PostingsIndex build_postings(std::span<const util::IdSet> items) {
-  validate_normalized(items);
-  PostingsIndex index;
-  std::uint32_t max_key = 0;
-  bool any_key = false;
-  std::size_t total_entries = 0;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (!items[i].empty()) {
-      any_key = true;
-      max_key = std::max(max_key, items[i].values().back());
-      total_entries += items[i].size();
-    }
-  }
-  index.num_keys = any_key ? max_key + 1 : 0;
-
-  index.offsets.assign(index.num_keys + 1, 0);
-  for (const auto& item : items) {
-    for (auto key : item) ++index.offsets[key + 1];
-  }
-  for (std::uint32_t k = 0; k < index.num_keys; ++k) {
-    index.offsets[k + 1] += index.offsets[k];
-  }
-
-  index.entries.resize(total_entries);
-  std::vector<std::size_t> cursor(index.offsets.begin(),
-                                  index.offsets.end() - 1);
-  for (std::uint32_t i = 0; i < items.size(); ++i) {
-    for (auto key : items[i]) index.entries[cursor[key]++] = i;
-  }
-  return index;
+// First key of the sorted `keys` that is >= key_begin (the search is
+// skipped for the range starting at key 0, i.e. every unbounded join).
+auto first_key_from(const std::vector<std::uint32_t>& keys,
+                    std::uint32_t key_begin) {
+  return key_begin == 0 ? keys.begin()
+                        : std::lower_bound(keys.begin(), keys.end(), key_begin);
 }
 
 // Rebased postings index covering only keys in [key_begin, key_end).
@@ -86,7 +62,7 @@ PostingsIndex build_postings_range(std::span<const util::IdSet> items,
   index.offsets.assign(index.num_keys + std::size_t{1}, 0);
   for (const auto& item : items) {
     const auto& keys = item.values();
-    auto it = std::lower_bound(keys.begin(), keys.end(), key_begin);
+    auto it = first_key_from(keys, key_begin);
     for (; it != keys.end() && *it < key_end; ++it) {
       ++index.offsets[*it - key_begin + 1];
     }
@@ -100,7 +76,7 @@ PostingsIndex build_postings_range(std::span<const util::IdSet> items,
                                   index.offsets.end() - 1);
   for (std::uint32_t i = 0; i < items.size(); ++i) {
     const auto& keys = items[i].values();
-    auto it = std::lower_bound(keys.begin(), keys.end(), key_begin);
+    auto it = first_key_from(keys, key_begin);
     for (; it != keys.end() && *it < key_end; ++it) {
       index.entries[cursor[*it - key_begin]++] = i;
     }
@@ -125,9 +101,7 @@ void count_probe_range(std::span<const util::IdSet> items,
   for (std::uint32_t a = a_begin; a < a_end; ++a) {
     touched.clear();
     const auto& keys = items[a].values();
-    auto kit = key_lo == 0
-                   ? keys.begin()
-                   : std::lower_bound(keys.begin(), keys.end(), key_lo);
+    auto kit = first_key_from(keys, key_lo);
     for (; kit != keys.end() && *kit < key_hi; ++kit) {
       const std::uint32_t key = *kit;
       const std::size_t len = index.length(key);
@@ -170,141 +144,6 @@ void fill_key_stats(const PostingsIndex& index,
   }
 }
 
-}  // namespace
-
-std::vector<CooccurrencePair> cooccurrence_join(
-    std::span<const util::IdSet> items, std::uint32_t min_shared,
-    const JoinOptions& options, JoinStats* stats) {
-  if (min_shared == 0) {
-    throw std::invalid_argument("cooccurrence_join: min_shared must be >= 1");
-  }
-  const PostingsIndex index = build_postings(items);
-
-  JoinStats local;
-  local.shard_passes = 1;
-  local.peak_resident_postings_bytes =
-      postings_bytes(index.num_keys, index.entries.size());
-  fill_key_stats(index, options.max_postings_length, local);
-
-  std::vector<CooccurrencePair> out;
-  std::vector<std::uint32_t> counts(items.size(), 0);
-  std::vector<std::uint32_t> touched;
-  count_probe_range(items, index, 0, static_cast<std::uint32_t>(items.size()),
-                    min_shared, options.max_postings_length, counts, touched,
-                    out, local.candidate_pairs);
-  local.emitted_pairs = out.size();
-  if (stats != nullptr) *stats = local;
-  return out;
-}
-
-std::vector<CooccurrencePair> cooccurrence_join_parallel(
-    std::span<const util::IdSet> items, std::uint32_t min_shared,
-    const JoinOptions& options, unsigned num_threads, JoinStats* stats) {
-  constexpr std::size_t kMinItemsPerShard = 256;
-  const std::size_t n = items.size();
-  unsigned shards = num_threads == 0 ? 1 : num_threads;
-  shards = static_cast<unsigned>(
-      std::min<std::size_t>(shards, std::max<std::size_t>(n / kMinItemsPerShard, 1)));
-  if (shards <= 1) return cooccurrence_join(items, min_shared, options, stats);
-  if (min_shared == 0) {
-    throw std::invalid_argument("cooccurrence_join: min_shared must be >= 1");
-  }
-
-  const PostingsIndex index = build_postings(items);
-
-  JoinStats local;
-  local.shard_passes = 1;
-  local.peak_resident_postings_bytes =
-      postings_bytes(index.num_keys, index.entries.size());
-  fill_key_stats(index, options.max_postings_length, local);
-
-  std::vector<std::vector<CooccurrencePair>> shard_out(shards);
-  std::vector<std::size_t> shard_candidates(shards, 0);
-  util::ThreadPool pool(std::min(num_threads, shards));
-  util::parallel_for(pool, shards, [&](std::size_t s) {
-    const auto lo = static_cast<std::uint32_t>(n * s / shards);
-    const auto hi = static_cast<std::uint32_t>(n * (s + 1) / shards);
-    std::vector<std::uint32_t> counts(n, 0);
-    std::vector<std::uint32_t> touched;
-    count_probe_range(items, index, lo, hi, min_shared,
-                      options.max_postings_length, counts, touched,
-                      shard_out[s], shard_candidates[s]);
-  });
-
-  std::vector<CooccurrencePair> out;
-  std::size_t total = 0;
-  for (const auto& part : shard_out) total += part.size();
-  out.reserve(total);
-  // Shards are contiguous ascending probe ranges, so plain concatenation
-  // reproduces the serial (a, b) order exactly.
-  for (auto& part : shard_out) {
-    out.insert(out.end(), part.begin(), part.end());
-  }
-  for (const auto c : shard_candidates) local.candidate_pairs += c;
-  local.emitted_pairs = out.size();
-  if (stats != nullptr) *stats = local;
-  return out;
-}
-
-KeyShardPlan plan_key_shards(std::span<const util::IdSet> items,
-                             std::size_t memory_budget_bytes) {
-  std::uint32_t max_key = 0;
-  bool any_key = false;
-  std::size_t total_entries = 0;
-  for (const auto& item : items) {
-    if (!item.empty()) {
-      any_key = true;
-      max_key = std::max(max_key, item.values().back());
-      total_entries += item.size();
-    }
-  }
-  const std::uint32_t num_keys = any_key ? max_key + 1 : 0;
-
-  KeyShardPlan plan;
-  plan.total_bytes = postings_bytes(num_keys, total_entries);
-  if (num_keys == 0) return plan;
-  if (memory_budget_bytes == 0 || plan.total_bytes <= memory_budget_bytes) {
-    plan.ranges.push_back({0, num_keys, plan.total_bytes, total_entries});
-    plan.peak_bytes = plan.total_bytes;
-    return plan;
-  }
-
-  // Observed per-key cardinalities drive the plan: each key costs two
-  // size_t slots (offset + build cursor) plus 4 bytes per posting entry.
-  std::vector<std::uint32_t> key_len(num_keys, 0);
-  for (const auto& item : items) {
-    for (auto key : item) ++key_len[key];
-  }
-
-  constexpr std::size_t kRangeBaseBytes = postings_bytes(0, 0);
-  constexpr std::size_t kPerKeyBytes = 2 * sizeof(std::size_t);
-  std::uint32_t begin = 0;
-  std::size_t bytes = kRangeBaseBytes;
-  std::size_t entries = 0;
-  for (std::uint32_t k = 0; k < num_keys; ++k) {
-    const std::size_t add =
-        kPerKeyBytes + key_len[k] * std::size_t{sizeof(std::uint32_t)};
-    // Cut before a key that would overflow the budget — unless the range
-    // is still empty, in which case the key is over budget all by itself
-    // and gets a (reported) oversized range of its own.
-    if (k > begin && bytes + add > memory_budget_bytes) {
-      plan.ranges.push_back({begin, k, bytes, entries});
-      begin = k;
-      bytes = kRangeBaseBytes;
-      entries = 0;
-    }
-    bytes += add;
-    entries += key_len[k];
-  }
-  plan.ranges.push_back({begin, num_keys, bytes, entries});
-  for (const auto& range : plan.ranges) {
-    plan.peak_bytes = std::max(plan.peak_bytes, range.bytes);
-  }
-  return plan;
-}
-
-namespace {
-
 constexpr std::uint64_t pack_pair(const CooccurrencePair& pair) noexcept {
   return (static_cast<std::uint64_t>(pair.a) << 32) | pair.b;
 }
@@ -337,37 +176,84 @@ std::vector<CooccurrencePair> merge_partials(std::vector<CooccurrencePair> x,
 
 }  // namespace
 
-std::vector<CooccurrencePair> cooccurrence_join_sharded(
+KeyShardPlan plan_key_shards(std::span<const util::IdSet> items,
+                             std::size_t memory_budget_bytes) {
+  std::uint32_t max_key = 0;
+  bool any_key = false;
+  std::size_t total_entries = 0;
+  for (const auto& item : items) {
+    if (!item.empty()) {
+      any_key = true;
+      max_key = std::max(max_key, item.values().back());
+      total_entries += item.size();
+    }
+  }
+  const std::uint32_t num_keys = any_key ? max_key + 1 : 0;
+
+  KeyShardPlan plan;
+  plan.total_bytes = postings_bytes(num_keys, total_entries);
+  if (num_keys == 0) return plan;
+  if (memory_budget_bytes == 0 || plan.total_bytes <= memory_budget_bytes) {
+    plan.ranges.push_back({0, num_keys, plan.total_bytes});
+    plan.peak_bytes = plan.total_bytes;
+    return plan;
+  }
+
+  // Observed per-key cardinalities drive the plan: each key costs two
+  // size_t slots (offset + build cursor) plus 4 bytes per posting entry.
+  std::vector<std::uint32_t> key_len(num_keys, 0);
+  for (const auto& item : items) {
+    for (auto key : item) ++key_len[key];
+  }
+
+  constexpr std::size_t kRangeBaseBytes = postings_bytes(0, 0);
+  constexpr std::size_t kPerKeyBytes = 2 * sizeof(std::size_t);
+  std::uint32_t begin = 0;
+  std::size_t bytes = kRangeBaseBytes;
+  for (std::uint32_t k = 0; k < num_keys; ++k) {
+    const std::size_t add =
+        kPerKeyBytes + key_len[k] * std::size_t{sizeof(std::uint32_t)};
+    // Cut before a key that would overflow the budget — unless the range
+    // is still empty, in which case the key is over budget all by itself
+    // and gets a (reported) oversized range of its own.
+    if (k > begin && bytes + add > memory_budget_bytes) {
+      plan.ranges.push_back({begin, k, bytes});
+      begin = k;
+      bytes = kRangeBaseBytes;
+    }
+    bytes += add;
+  }
+  plan.ranges.push_back({begin, num_keys, bytes});
+  for (const auto& range : plan.ranges) {
+    plan.peak_bytes = std::max(plan.peak_bytes, range.bytes);
+  }
+  return plan;
+}
+
+std::vector<CooccurrencePair> cooccurrence_join(
     std::span<const util::IdSet> items, std::uint32_t min_shared,
-    const JoinOptions& options, std::size_t memory_budget_bytes,
-    unsigned num_threads, JoinStats* stats) {
+    const JoinOptions& options, JoinStats* stats) {
   if (min_shared == 0) {
     throw std::invalid_argument("cooccurrence_join: min_shared must be >= 1");
   }
-  const KeyShardPlan plan = plan_key_shards(items, memory_budget_bytes);
-  if (plan.ranges.size() <= 1) {
-    // The whole index fits the budget (or there are no keys at all): the
-    // single-pass join is the bounded-memory join. It validates the
-    // items itself, so an unnormalized input still throws even though
-    // the plan above was computed on garbage.
-    return cooccurrence_join_parallel(items, min_shared, options, num_threads,
-                                      stats);
-  }
   validate_normalized(items);
+  const KeyShardPlan plan = plan_key_shards(items, options.memory_budget_bytes);
+  // No keys at all plans zero ranges; that still counts as one (empty)
+  // in-RAM pass.
+  const bool one_pass = plan.ranges.size() <= 1;
 
   JoinStats local;
-  local.shard_passes = plan.ranges.size();
-  local.peak_resident_postings_bytes = plan.peak_bytes;
+  local.shard_passes = one_pass ? 1 : plan.ranges.size();
+  local.peak_resident_postings_bytes =
+      one_pass ? plan.total_bytes : plan.peak_bytes;
 
-  const std::size_t n = items.size();
-  // Within a pass the probe is range-sharded exactly like
-  // cooccurrence_join_parallel; passes themselves run sequentially so at
+  // The probe fans out over contiguous ranges of `a` only when each shard
+  // gets at least kMinItemsPerShard items; passes run sequentially so at
   // most one range's postings index is ever resident.
   constexpr std::size_t kMinItemsPerShard = 256;
-  unsigned probe_shards = num_threads == 0 ? 1 : num_threads;
-  probe_shards = static_cast<unsigned>(std::min<std::size_t>(
-      probe_shards, std::max<std::size_t>(n / kMinItemsPerShard, 1)));
-
+  const std::size_t n = items.size();
+  const auto probe_shards = static_cast<unsigned>(std::max<std::size_t>(
+      std::min<std::size_t>(options.num_threads, n / kMinItemsPerShard), 1));
   std::optional<util::ThreadPool> pool;
   if (probe_shards > 1) pool.emplace(probe_shards);
 
@@ -376,6 +262,9 @@ std::vector<CooccurrencePair> cooccurrence_join_sharded(
   std::vector<std::vector<std::uint32_t>> counts(
       probe_shards, std::vector<std::uint32_t>(n, 0));
   std::vector<std::vector<std::uint32_t>> touched(probe_shards);
+  // With several passes the per-pass counts are partial, so every touched
+  // pair is emitted and min_shared filters after the merge.
+  const std::uint32_t pass_min_shared = one_pass ? min_shared : 1;
 
   std::vector<std::vector<CooccurrencePair>> pass_out;
   pass_out.reserve(plan.ranges.size());
@@ -383,33 +272,30 @@ std::vector<CooccurrencePair> cooccurrence_join_sharded(
     const PostingsIndex index =
         build_postings_range(items, range.begin, range.end);
     fill_key_stats(index, options.max_postings_length, local);
+    auto& out = pass_out.emplace_back();
+    if (!pool) {
+      count_probe_range(items, index, 0, static_cast<std::uint32_t>(n),
+                        pass_min_shared, options.max_postings_length,
+                        counts[0], touched[0], out, local.candidate_pairs);
+      continue;
+    }
 
     std::vector<std::vector<CooccurrencePair>> shard_out(probe_shards);
     std::vector<std::size_t> shard_candidates(probe_shards, 0);
-    const auto probe = [&](std::size_t s) {
+    util::parallel_for(*pool, probe_shards, [&](std::size_t s) {
       const auto lo = static_cast<std::uint32_t>(n * s / probe_shards);
       const auto hi = static_cast<std::uint32_t>(n * (s + 1) / probe_shards);
-      // Per-pass counts are partial, so every touched pair is emitted
-      // (min_shared 1 here); the real filter runs after the merge.
-      count_probe_range(items, index, lo, hi, 1, options.max_postings_length,
-                        counts[s], touched[s], shard_out[s],
-                        shard_candidates[s]);
-    };
-    if (probe_shards > 1) {
-      util::parallel_for(*pool, probe_shards, probe);
-    } else {
-      probe(0);
-    }
-
-    std::vector<CooccurrencePair> merged_pass;
+      count_probe_range(items, index, lo, hi, pass_min_shared,
+                        options.max_postings_length, counts[s], touched[s],
+                        shard_out[s], shard_candidates[s]);
+    });
     std::size_t total = 0;
     for (const auto& part : shard_out) total += part.size();
-    merged_pass.reserve(total);
-    for (auto& part : shard_out) {
-      merged_pass.insert(merged_pass.end(), part.begin(), part.end());
-    }
+    out.reserve(total);
+    // Shards are contiguous ascending probe ranges, so plain concatenation
+    // reproduces the serial (a, b) order exactly.
+    for (auto& part : shard_out) out.insert(out.end(), part.begin(), part.end());
     for (const auto c : shard_candidates) local.candidate_pairs += c;
-    pass_out.push_back(std::move(merged_pass));
   }
 
   // Balanced merge tree over the per-pass sorted runs: O(pairs * log S)
@@ -425,8 +311,9 @@ std::vector<CooccurrencePair> cooccurrence_join_sharded(
     pass_out = std::move(next);
   }
 
-  std::vector<CooccurrencePair> out = std::move(pass_out.front());
-  if (min_shared > 1) {
+  std::vector<CooccurrencePair> out;
+  if (!pass_out.empty()) out = std::move(pass_out.front());
+  if (!one_pass && min_shared > 1) {
     std::erase_if(out, [min_shared](const CooccurrencePair& pair) {
       return pair.shared_keys < min_shared;
     });

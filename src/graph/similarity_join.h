@@ -41,19 +41,35 @@ struct JoinOptions {
   // SMASH's preprocessing (IDF filter) is responsible for removing such
   // hubs beforehand, and the default cap is high enough to be inert on
   // realistic inputs. It exists as a safety valve only — it is a *pair
-  // explosion* guard, not a memory guard; for memory, use the key-range
-  // sharded join below. JoinStats reports how often it fired so the
+  // explosion* guard, not a memory guard; for memory, set
+  // memory_budget_bytes. JoinStats reports how often it fired so the
   // undercount is observable instead of silent. A key's length is always
-  // its full postings length, so the cap fires identically in the in-RAM,
-  // probe-parallel, and key-range-sharded joins (independent of
-  // num_threads and of any memory budget).
+  // its full postings length, so the cap fires identically for every
+  // memory budget and thread count.
   std::uint32_t max_postings_length = 20000;
+
+  // Upper bound on the resident postings-index memory (unit: bytes;
+  // default 0 = unbounded, one in-RAM pass). When the whole index does
+  // not fit, the key universe is split into contiguous ranges (see
+  // plan_key_shards) and the join runs one postings build + probe per
+  // range, sequentially, then merges the per-pass outputs summing partial
+  // shared-key counts. min_shared is applied after that merge, so output
+  // is byte-identical to the unbounded join. A pass exceeds the budget
+  // only when one key alone does (reported in JoinStats).
+  std::size_t memory_budget_bytes = 0;
+
+  // Probe worker threads (default 1 = serial; no thread pool is created).
+  // The probe is split into contiguous ranges of `a`, one per worker,
+  // only when each gets at least 256 items; each worker holds a dense
+  // counter array of 4 * items.size() bytes that the memory budget does
+  // not count. Output is identical for every thread count.
+  unsigned num_threads = 1;
 };
 
 // Observability counters for one join invocation. All counters except
 // `shard_passes` and `peak_resident_postings_bytes` are invariant across
-// the serial, probe-parallel, and key-range-sharded execution strategies
-// (every key is indexed and probed exactly once in each of them).
+// memory budgets and thread counts (every key is indexed and probed
+// exactly once in every pass layout).
 struct JoinStats {
   std::size_t num_keys = 0;              // distinct keys indexed
   std::size_t postings_entries = 0;      // total (key, item) entries
@@ -63,12 +79,12 @@ struct JoinStats {
   std::size_t candidate_pairs = 0;       // counter increments performed
   std::size_t emitted_pairs = 0;         // pairs meeting min_shared
   // Key-range passes this join ran: 1 = a single in-RAM postings index
-  // (cooccurrence_join / _parallel, or a budget large enough for one
-  // pass); > 1 = the bounded-memory sharded join rebuilt the index that
-  // many times. 0 only in a default-constructed JoinStats (no join ran).
+  // (no budget, a budget large enough for one pass, or no keys at all);
+  // > 1 = memory_budget_bytes made the join rebuild the index that many
+  // times. 0 only in a default-constructed JoinStats (no join ran).
   std::size_t shard_passes = 0;
   // Largest postings-index footprint (bytes: offsets + build cursor +
-  // entries) resident at any moment. For the sharded join this is the
+  // entries) resident at any moment. With several passes this is the
   // biggest single pass and is <= the memory budget unless one key alone
   // exceeds it (degenerate case — the key still gets a pass of its own,
   // and the overshoot is visible here).
@@ -79,23 +95,13 @@ struct JoinStats {
 
 // items[i] is the (normalized) key set of item i. Returns every pair with
 // shared_keys >= min_shared, each pair exactly once with a < b, sorted by
-// (a, b). Deterministic: identical inputs yield identical outputs. When
-// `stats` is non-null it is overwritten with this invocation's counters.
+// (a, b). Deterministic: identical inputs yield identical outputs, for
+// every options.memory_budget_bytes and options.num_threads. When `stats`
+// is non-null it is overwritten with this invocation's counters. Throws
+// std::invalid_argument when min_shared is 0 or a set is not normalized.
 std::vector<CooccurrencePair> cooccurrence_join(
     std::span<const util::IdSet> items, std::uint32_t min_shared = 1,
     const JoinOptions& options = {}, JoinStats* stats = nullptr);
-
-// Probe-range-sharded parallel join: identical output to the serial form
-// (shards are contiguous ranges of `a`, concatenated in order), using up to
-// `num_threads` worker threads. Falls back to the serial join when
-// num_threads <= 1 or the input is small. The full postings index is
-// resident (JoinStats::shard_passes == 1) plus one dense counter array of
-// 4 * items.size() bytes per worker; for a bounded postings footprint use
-// cooccurrence_join_sharded.
-std::vector<CooccurrencePair> cooccurrence_join_parallel(
-    std::span<const util::IdSet> items, std::uint32_t min_shared,
-    const JoinOptions& options, unsigned num_threads,
-    JoinStats* stats = nullptr);
 
 // One contiguous key range of a bounded-memory join plan: keys in
 // [begin, end) build one postings index of `bytes` resident bytes.
@@ -103,7 +109,6 @@ struct KeyShardRange {
   std::uint32_t begin = 0;
   std::uint32_t end = 0;       // exclusive
   std::size_t bytes = 0;       // postings-index footprint of this range
-  std::size_t entries = 0;     // (key, item) entries in this range
 
   friend bool operator==(const KeyShardRange&, const KeyShardRange&) = default;
 };
@@ -136,27 +141,11 @@ constexpr std::size_t postings_bytes(std::size_t num_keys,
 KeyShardPlan plan_key_shards(std::span<const util::IdSet> items,
                              std::size_t memory_budget_bytes);
 
-// Bounded-memory key-range-sharded join: runs the CSR build + dense-counter
-// probe once per planned key range (passes run sequentially, so at most one
-// range's postings index is resident), then merges the per-pass grouped
-// outputs in (a, b) order, summing partial shared-key counts. Output is
-// byte-identical to cooccurrence_join for every budget and thread count;
-// min_shared is applied after the merge, so pairs whose shared keys span
-// ranges are never lost. Within each pass the probe is range-sharded
-// across up to `num_threads` workers (the same probe sharding
-// cooccurrence_join_parallel uses). memory_budget_bytes == 0, or a budget
-// the whole index fits in, degrades to the single-pass join. Peak resident
-// postings memory is reported in JoinStats::peak_resident_postings_bytes;
-// it exceeds the budget only when one key alone does (degenerate case).
-std::vector<CooccurrencePair> cooccurrence_join_sharded(
-    std::span<const util::IdSet> items, std::uint32_t min_shared,
-    const JoinOptions& options, std::size_t memory_budget_bytes,
-    unsigned num_threads, JoinStats* stats = nullptr);
-
 // The original hash-map-based join (packed-pair unordered_map), retained as
 // a reference implementation for equivalence tests and the speedup
 // benchmark in bench/perf_micro.cc. Same contract and output order as
-// cooccurrence_join.
+// cooccurrence_join; it always runs serially in RAM, so only
+// options.max_postings_length applies.
 std::vector<CooccurrencePair> cooccurrence_join_reference(
     std::span<const util::IdSet> items, std::uint32_t min_shared = 1,
     const JoinOptions& options = {});

@@ -1,7 +1,8 @@
 // Regression tests for the dense-counter join rewrite: determinism across
 // runs, equivalence with the retained hash-map reference and with a
-// brute-force O(N^2) intersection_size oracle, byte-identical parallel
-// sharding, and JoinStats observability of the postings cap.
+// brute-force O(N^2) intersection_size oracle, byte-identical output and
+// counters across the memory budget x thread count x min_shared matrix,
+// and JoinStats observability of the postings cap.
 #include "graph/similarity_join.h"
 
 #include <gtest/gtest.h>
@@ -34,9 +35,11 @@ TEST(JoinDeterminism, RepeatedRunsAreIdentical) {
   const auto second = cooccurrence_join(items);
   EXPECT_EQ(first, second);  // element-wise, i.e. byte-identical content
 
-  // And through the parallel path.
-  const auto parallel_a = cooccurrence_join_parallel(items, 1, {}, 4);
-  const auto parallel_b = cooccurrence_join_parallel(items, 1, {}, 4);
+  // And through the probe-parallel path.
+  JoinOptions four_threads;
+  four_threads.num_threads = 4;
+  const auto parallel_a = cooccurrence_join(items, 1, four_threads);
+  const auto parallel_b = cooccurrence_join(items, 1, four_threads);
   EXPECT_EQ(parallel_a, parallel_b);
 }
 
@@ -68,15 +71,34 @@ TEST_P(JoinEquivalenceTest, DenseMatchesHashMapReference) {
 }
 
 TEST_P(JoinEquivalenceTest, ParallelMatchesSerialExactly) {
+  // 1500 items, so 2..5 probe shards really fan out (256 items each).
   const auto items = random_items(1500, 8, 900, GetParam() ^ 0xabcdULL);
-  JoinStats serial_stats;
-  const auto serial = cooccurrence_join(items, 2, {}, &serial_stats);
-  for (const unsigned threads : {2u, 3u, 4u, 7u}) {
-    JoinStats parallel_stats;
-    EXPECT_EQ(cooccurrence_join_parallel(items, 2, {}, threads, &parallel_stats),
-              serial);
-    // Counters too: shard candidate counts sum to the serial probe count.
-    EXPECT_EQ(parallel_stats, serial_stats) << "threads=" << threads;
+  const std::size_t full = plan_key_shards(items, 0).total_bytes;
+  for (const std::uint32_t min_shared : {1u, 2u}) {
+    JoinStats serial_stats;
+    const auto serial = cooccurrence_join(items, min_shared, {}, &serial_stats);
+    for (const std::size_t budget : {std::size_t{0}, full, full / 3}) {
+      for (const unsigned threads : {1u, 2u, 3u, 4u, 7u}) {
+        JoinOptions options;
+        options.memory_budget_bytes = budget;
+        options.num_threads = threads;
+        JoinStats stats;
+        EXPECT_EQ(cooccurrence_join(items, min_shared, options, &stats), serial)
+            << "budget=" << budget << " threads=" << threads;
+        // Counters too: shard candidate counts sum to the serial probe
+        // count, and only the pass layout differs under a tight budget.
+        JoinStats expected = serial_stats;
+        if (budget == full / 3) {
+          const auto plan = plan_key_shards(items, budget);
+          ASSERT_GT(plan.ranges.size(), 1u);
+          expected.shard_passes = plan.ranges.size();
+          expected.peak_resident_postings_bytes = plan.peak_bytes;
+        }
+        EXPECT_EQ(stats, expected) << "budget=" << budget
+                                   << " threads=" << threads
+                                   << " min_shared=" << min_shared;
+      }
+    }
   }
 }
 
@@ -132,15 +154,6 @@ TEST(JoinStatsTest, ReportsSkippedKeysAndPeakPostings) {
   EXPECT_EQ(stats.emitted_pairs, 15u);
   EXPECT_EQ(stats.candidate_pairs, 30u);  // 15 pairs x 2 shared hub keys
   for (const auto& pair : full) EXPECT_EQ(pair.shared_keys, 2u);
-}
-
-TEST(JoinStatsTest, ParallelStatsMatchSerial) {
-  const auto items = random_items(1200, 8, 700, 555);
-  JoinStats serial_stats;
-  JoinStats parallel_stats;
-  cooccurrence_join(items, 1, {}, &serial_stats);
-  cooccurrence_join_parallel(items, 1, {}, 4, &parallel_stats);
-  EXPECT_EQ(serial_stats, parallel_stats);
 }
 
 TEST(JoinEdgeCases, EmptyAndSingletonInputs) {

@@ -1,8 +1,9 @@
-// Bounded-memory key-range-sharded join: the plan must respect the byte
-// budget (except the reported degenerate one-key case), and the join's
-// output must be BYTE-IDENTICAL to the in-RAM cooccurrence_join for every
-// shard count, budget, and thread count — min_shared applied after the
-// cross-pass merge, postings-cap semantics on full key lengths.
+// cooccurrence_join under JoinOptions::memory_budget_bytes: the key-range
+// plan must respect the byte budget (except the reported degenerate
+// one-key case), and the output must be BYTE-IDENTICAL to the unbounded
+// serial join for every shard count, budget, and thread count — min_shared
+// applied after the cross-pass merge, postings-cap semantics on full key
+// lengths.
 #include "graph/similarity_join.h"
 
 #include <gtest/gtest.h>
@@ -57,6 +58,13 @@ constexpr std::size_t budget_for_keys(std::uint32_t keys_per_range,
                            key_span * sizeof(std::uint32_t));
 }
 
+JoinOptions budgeted(std::size_t budget, unsigned num_threads,
+                     JoinOptions options = {}) {
+  options.memory_budget_bytes = budget;
+  options.num_threads = num_threads;
+  return options;
+}
+
 void expect_same_join(std::span<const IdSet> items, std::uint32_t min_shared,
                       const JoinOptions& options, std::size_t budget,
                       unsigned num_threads, std::size_t expected_passes = 0) {
@@ -64,8 +72,9 @@ void expect_same_join(std::span<const IdSet> items, std::uint32_t min_shared,
   const auto in_ram = cooccurrence_join(items, min_shared, options, &in_ram_stats);
 
   JoinStats sharded_stats;
-  const auto sharded = cooccurrence_join_sharded(
-      items, min_shared, options, budget, num_threads, &sharded_stats);
+  const auto sharded =
+      cooccurrence_join(items, min_shared,
+                        budgeted(budget, num_threads, options), &sharded_stats);
 
   ASSERT_EQ(sharded, in_ram) << "budget=" << budget
                              << " threads=" << num_threads;
@@ -81,8 +90,12 @@ void expect_same_join(std::span<const IdSet> items, std::uint32_t min_shared,
   EXPECT_EQ(sharded_stats.emitted_pairs, in_ram_stats.emitted_pairs);
   EXPECT_EQ(sharded_stats.emitted_pairs, sharded.size());
 
-  EXPECT_EQ(sharded_stats.shard_passes,
-            plan_key_shards(items, budget).ranges.size());
+  const auto plan = plan_key_shards(items, budget);
+  EXPECT_EQ(sharded_stats.shard_passes, plan.ranges.size());
+  // One pass is the unbounded join itself, residency included.
+  if (plan.ranges.size() == 1) {
+    EXPECT_EQ(sharded_stats, in_ram_stats);
+  }
   if (expected_passes > 0) {
     EXPECT_EQ(sharded_stats.shard_passes, expected_passes);
   }
@@ -207,7 +220,7 @@ TEST(ShardedJoin, OneKeyExceedingBudgetGetsReportedOversizedPass) {
   expect_same_join(items, 2, {}, budget, 4);
 
   JoinStats stats;
-  cooccurrence_join_sharded(items, 1, {}, budget, 1, &stats);
+  cooccurrence_join(items, 1, budgeted(budget, 1), &stats);
   EXPECT_EQ(stats.peak_resident_postings_bytes, plan.peak_bytes);
   EXPECT_GT(stats.peak_resident_postings_bytes, budget);
 }
@@ -217,7 +230,7 @@ TEST(ShardedJoin, PeakResidencyStaysWithinBudgetOtherwise) {
   const std::size_t full = plan_key_shards(items, 0).total_bytes;
   const std::size_t budget = full / 4;
   JoinStats stats;
-  cooccurrence_join_sharded(items, 1, {}, budget, 1, &stats);
+  cooccurrence_join(items, 1, budgeted(budget, 1), &stats);
   EXPECT_GT(stats.shard_passes, 1u);
   EXPECT_LE(stats.peak_resident_postings_bytes, budget);
 }
@@ -238,7 +251,7 @@ TEST(ShardedJoin, PostingsCapFiresOnFullKeyLength) {
     expect_same_join(items, 1, options, budget, 1);
   }
   JoinStats stats;
-  cooccurrence_join_sharded(items, 1, options, 80, 1, &stats);
+  cooccurrence_join(items, 1, budgeted(80, 1, options), &stats);
   EXPECT_EQ(stats.skipped_keys, 1u);
   EXPECT_EQ(stats.skipped_entries, 30u);
 }
@@ -253,8 +266,7 @@ TEST(ShardedJoin, MinSharedCountsKeysAcrossPassBoundaries) {
   ASSERT_GT(plan_key_shards(items, budget).ranges.size(), 2u);
 
   JoinStats stats;
-  const auto pairs =
-      cooccurrence_join_sharded(items, 2, {}, budget, 1, &stats);
+  const auto pairs = cooccurrence_join(items, 2, budgeted(budget, 1), &stats);
   const auto in_ram = cooccurrence_join(items, 2);
   EXPECT_EQ(pairs, in_ram);
   const CooccurrencePair tail_pair{14, 15, 2};
@@ -263,12 +275,35 @@ TEST(ShardedJoin, MinSharedCountsKeysAcrossPassBoundaries) {
 
 TEST(ShardedJoin, RejectsBadArguments) {
   const auto items = circulant_sets();
-  EXPECT_THROW(cooccurrence_join_sharded(items, 0, {}, 64, 1),
+  EXPECT_THROW(cooccurrence_join(items, 0, budgeted(64, 1)),
                std::invalid_argument);
   std::vector<IdSet> unnormalized(1);
   unnormalized[0].insert(3);
-  EXPECT_THROW(cooccurrence_join_sharded(unnormalized, 1, {}, 64, 1),
+  EXPECT_THROW(cooccurrence_join(unnormalized, 1, budgeted(64, 1)),
                std::invalid_argument);
+}
+
+TEST(ShardedJoin, NoKeysIsOneEmptyInRamPass) {
+  // No keys plans zero ranges, yet the join still reports the one empty
+  // in-RAM pass of an unbounded join, for every budget and thread count.
+  // 600 empty sets let 4 threads fan the (empty) probe out to 2 shards.
+  JoinStats expected;
+  expected.shard_passes = 1;
+  expected.peak_resident_postings_bytes = postings_bytes(0, 0);
+  for (const std::size_t num_items : {std::size_t{0}, std::size_t{600}}) {
+    const std::vector<IdSet> items(num_items);
+    for (const std::size_t budget : {std::size_t{0}, std::size_t{64}}) {
+      for (const unsigned threads : {1u, 4u}) {
+        JoinStats stats;
+        EXPECT_TRUE(
+            cooccurrence_join(items, 1, budgeted(budget, threads), &stats)
+                .empty());
+        EXPECT_EQ(stats, expected) << "items=" << num_items
+                                   << " budget=" << budget
+                                   << " threads=" << threads;
+      }
+    }
+  }
 }
 
 }  // namespace

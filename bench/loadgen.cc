@@ -1,27 +1,28 @@
-// Open-loop load generator for the verdict server (docs/SERVING.md): a
-// VerdictServer fronts a StreamEngine that keeps ingesting, mining and
-// publishing a looping day-scale scenario underneath while staged offered
-// load — static, linear ramp, oscillating/diurnal sinusoid (modeled on
-// heyp-agents' oscillating workload stages), and a deliberate overload
-// burst — is fired at it over real TCP.
+// Serving gates for the verdict server (docs/SERVING.md): a VerdictServer
+// fronts a StreamEngine that keeps ingesting, mining and publishing a
+// looping scenario underneath while two open-loop stages are fired at it
+// over real TCP:
+//   overload     20k requests/s against a client that drains ~2k/s: the
+//                server must shed with explicit kRejected answers, never
+//                queue without bound;
+//   stale_probe  after the feeder stops and the staleness SLO has passed,
+//                every answer must be kStale.
+// Serving speed is measured by perfbench's serve_mixed workload, not here.
 //
-// Open-loop means requests are sent on a schedule derived from the offered
-// rate, never gated on responses: when the sender falls behind it bursts to
-// catch up, and every latency is measured from the request's *scheduled*
-// send time, so server-side queueing shows up as latency instead of being
-// coordinated away (no coordinated omission). Per stage the bench reports
-// offered vs achieved QPS, p50/p99/p999 latency, and the explicit
-// outcome counts (ok / stale / rejected / partial batches).
+// Requests go out on the stage's schedule, never gated on responses, and
+// each latency is measured from the request's scheduled send time. The
+// sender never blocks past the stage's end (a send deadline), so a server
+// that has paused reading cannot stretch the stage, and the backlog then
+// drains at full speed. Each stage reports its outcome counts (ok / stale
+// / rejected), which tools/check_serve.py checks together with the
+// server's own counters.
 //
-// Usage: loadgen [BENCH_serve.json] [--smoke] [--stages a,b,...]
-//                [--obs-dump <dir>]
-//   --smoke: seconds-long stages for CI (same code paths, small rates).
-//   --stages: comma-separated subset of static,ramp,oscillating,overload,
-//             stale_probe (default: all, in that order).
+// Usage: loadgen <report.json> [--obs-dump <dir>]
 //   --obs-dump: write the combined engine+serve registry (metrics.prom /
 //               metrics.json) after the run, for tools/smash_stats.
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -35,6 +36,7 @@
 #include <variant>
 #include <vector>
 
+#include <poll.h>
 #include <sys/socket.h>
 
 #include "bench_common.h"
@@ -48,8 +50,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 using smash::serve::FrameStatus;
-
-constexpr double kPi = 3.14159265358979323846;
 
 smash::synth::StreamScenarioConfig scenario_config() {
   smash::synth::StreamScenarioConfig config;
@@ -99,48 +99,23 @@ void feeder_loop(smash::stream::StreamEngine& engine,
 struct StageSpec {
   std::string name;
   double duration_s = 0.0;
-  double qps_begin = 0.0;
-  double qps_end = 0.0;  // == qps_begin for static
-  enum class Shape { kStatic, kRamp, kOscillating } shape = Shape::kStatic;
-  double cycles = 4.0;  // oscillating only
+  double qps = 0.0;
   // Overload: the receiver drains far slower than the offered rate while
   // requests are still being sent, so responses pile up against the
   // connection's pending bound and the shedding path (kRejected) engages.
-  // The receiver never stops entirely — its slow progress keeps the
-  // socket-buffer chain from wedging the blocking sender. The client's
-  // receive buffer is pinned small (kSlowConsumerRcvbufBytes) so the
-  // backlog queues on the server, not in a loopback buffer that the
+  // The client's receive buffer is pinned small (kSlowConsumerRcvbufBytes)
+  // so the backlog queues on the server, not in a loopback buffer that the
   // kernel would otherwise autotune up to tcp_rmem's maximum (MiBs).
   bool slow_consumer = false;
 };
 
-// Offered rate at stage-relative time t.
-double rate_at(const StageSpec& stage, double t) {
-  const double f = stage.duration_s > 0.0 ? t / stage.duration_s : 0.0;
-  switch (stage.shape) {
-    case StageSpec::Shape::kStatic:
-      return stage.qps_begin;
-    case StageSpec::Shape::kRamp:
-      return stage.qps_begin + (stage.qps_end - stage.qps_begin) * f;
-    case StageSpec::Shape::kOscillating: {
-      // heyp-agents GenWorkloadStagesOscillating: min + half-range lifted
-      // by a sinusoid over `cycles` full periods.
-      const double half = (stage.qps_end - stage.qps_begin) / 2.0;
-      return stage.qps_begin + half +
-             half * std::sin(f * stage.cycles * 2.0 * kPi);
-    }
-  }
-  return stage.qps_begin;
-}
-
 struct StageResult {
   std::uint64_t sent = 0, received = 0;
   std::uint64_t ok = 0, stale = 0, rejected = 0;
+  // Scheduled requests the send deadline cut: the server had stopped
+  // reading (its pending-response bound) until the stage's end.
+  std::uint64_t unsent = 0;
   double duration_ms = 0.0;
-  // Requests scheduled per second of scheduled time: the time-weighted
-  // mean of the stage's rate curve. (A per-request mean of the rate would
-  // over-weight the high-rate part of a ramp, where more requests fall.)
-  double offered_qps = 0.0;
   std::vector<double> latency_us;  // per response, from scheduled send
 
   double percentile(double q) const {
@@ -152,13 +127,31 @@ struct StageResult {
   }
 };
 
-// SO_RCVBUF of a slow-consumer stage's client socket. Setting it also
-// switches off receive-buffer autotuning for that socket.
+// SO_RCVBUF of a slow-consumer stage's client socket while it sends.
+// Setting it also switches off receive-buffer autotuning for that socket.
 constexpr int kSlowConsumerRcvbufBytes = 4096;
+// SO_RCVBUF once the sender has stopped, so the backlog drains at full
+// speed: through the 4 KiB window it moves only ~1.3k responses/s.
+constexpr int kDrainRcvbufBytes = 1 << 20;
+
+// Waits until `fd` accepts more bytes or `deadline` passes; true when
+// writable. A request frame is a few dozen bytes, far below the space a
+// writable TCP socket has free, so the send that follows does not block.
+bool writable_before(int fd, Clock::time_point deadline) {
+  for (;;) {
+    const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+        deadline - Clock::now());
+    pollfd pfd{fd, POLLOUT, 0};
+    const int ready = ::poll(&pfd, 1, std::max<int>(0, left.count()));
+    if (ready > 0) return (pfd.revents & POLLOUT) != 0;
+    if (ready == 0 || errno != EINTR) return false;
+  }
+}
 
 // Runs one stage over a fresh connection. Sender and receiver share the
-// socket: the sender paces scheduled sends (bursting when behind), the
-// receiver matches responses back to scheduled send times by request_id.
+// socket: the sender paces scheduled sends (bursting when behind) until
+// the stage's end, the receiver matches responses back to scheduled send
+// times by request_id.
 StageResult run_stage(const StageSpec& stage, std::uint16_t port,
                       const std::vector<std::string>& hosts) {
   smash::serve::BlockingClient client("127.0.0.1", port);
@@ -168,11 +161,10 @@ StageResult run_stage(const StageSpec& stage, std::uint16_t port,
   }
   StageResult result;
 
-  // Upper bound on requests (peak rate * duration, plus slack) so the
-  // schedule array is indexable by request_id without locking.
-  const double peak = std::max(stage.qps_begin, stage.qps_end);
+  // Every request the schedule holds, so the array is indexable by
+  // request_id without locking.
   const auto capacity =
-      static_cast<std::size_t>(peak * stage.duration_s * 1.1) + 16;
+      static_cast<std::size_t>(std::ceil(stage.qps * stage.duration_s));
   std::vector<Clock::time_point> scheduled(capacity);
 
   std::atomic<std::uint64_t> sent{0};
@@ -222,17 +214,19 @@ StageResult run_stage(const StageSpec& stage, std::uint16_t port,
   });
 
   const auto start = Clock::now();
-  double virt_s = 0.0;
+  const auto stage_end =
+      start + std::chrono::duration_cast<Clock::duration>(
+                  std::chrono::duration<double>(stage.duration_s));
   std::uint64_t id = 0;
   std::size_t host_i = 0;
-  while (virt_s < stage.duration_s && id < capacity) {
-    const double rate = std::max(1.0, rate_at(stage, virt_s));
-    const auto deadline =
-        start + std::chrono::duration_cast<Clock::duration>(
-                    std::chrono::duration<double>(virt_s));
+  while (id < capacity) {
+    const auto due = start + std::chrono::duration_cast<Clock::duration>(
+                                 std::chrono::duration<double>(
+                                     static_cast<double>(id) / stage.qps));
     // Behind schedule? No sleep — send immediately (burst catch-up).
-    std::this_thread::sleep_until(deadline);
-    scheduled[id] = deadline;
+    std::this_thread::sleep_until(due);
+    if (!writable_before(client.fd(), stage_end)) break;
+    scheduled[id] = due;
     smash::serve::RequestFrame request;
     request.type = smash::serve::FrameType::kLookup;
     request.request_id = id;
@@ -241,15 +235,18 @@ StageResult run_stage(const StageSpec& stage, std::uint16_t port,
     request.lookups.push_back(key);
     client.send(request);
     sent.store(++id, std::memory_order_release);
-    virt_s += 1.0 / rate;
   }
   sender_done.store(true, std::memory_order_release);
+  if (stage.slow_consumer) {
+    ::setsockopt(client.fd(), SOL_SOCKET, SO_RCVBUF, &kDrainRcvbufBytes,
+                 sizeof(kDrainRcvbufBytes));
+  }
   receiver.join();
   result.sent = id;
+  result.unsent = capacity - id;
   result.duration_ms = std::chrono::duration<double, std::milli>(
                            Clock::now() - start)
                            .count();
-  result.offered_qps = virt_s > 0.0 ? static_cast<double>(id) / virt_s : 0.0;
   return result;
 }
 
@@ -262,27 +259,23 @@ std::uint64_t counter_of(const smash::obs::MetricsSnapshot& snapshot,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path = "BENCH_serve.json";
+  std::string out_path;
   std::string obs_dump_dir;
-  std::string stage_filter;
-  bool smoke = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--stages") == 0 && i + 1 < argc) {
-      stage_filter = argv[++i];
-    } else if (std::strcmp(argv[i], "--obs-dump") == 0 && i + 1 < argc) {
+    if (std::strcmp(argv[i], "--obs-dump") == 0 && i + 1 < argc) {
       obs_dump_dir = argv[++i];
+    } else if (argv[i][0] == '-' || !out_path.empty()) {
+      out_path.clear();
+      break;
     } else {
       out_path = argv[i];
     }
   }
-  const auto wants = [&](const std::string& name) {
-    if (stage_filter.empty()) return true;
-    // Substring match over the comma-separated list is unambiguous here:
-    // no stage name contains another.
-    return stage_filter.find(name) != std::string::npos;
-  };
+  if (out_path.empty()) {
+    std::fprintf(stderr, "usage: %s <report.json> [--obs-dump <dir>]\n",
+                 argv[0]);
+    return 1;
+  }
 
   const auto scenario = smash::synth::generate_stream(scenario_config());
   const auto registry = std::make_shared<smash::obs::Registry>();
@@ -327,49 +320,24 @@ int main(int argc, char** argv) {
     hosts.push_back("never-seen" + std::to_string(i) + ".example");
   }
 
-  const double scale = smoke ? 1.0 : 4.0;
-  std::vector<StageSpec> stages;
-  stages.push_back({"static", smoke ? 3.0 : 10.0, 2000.0 * scale,
-                    2000.0 * scale, StageSpec::Shape::kStatic});
-  stages.push_back({"ramp", smoke ? 3.0 : 15.0, 500.0 * scale, 4000.0 * scale,
-                    StageSpec::Shape::kRamp});
-  stages.push_back({"oscillating", smoke ? 4.0 : 30.0, 500.0 * scale,
-                    4000.0 * scale, StageSpec::Shape::kOscillating,
-                    smoke ? 2.0 : 4.0});
-  // Offered load far past what the slow consumer drains: the shedding path
-  // must answer with explicit kRejected frames, never queue without bound.
-  // Deliberately NOT scaled up in full mode — the point is crossing the
-  // pending-bytes bound, not moving more bytes.
-  {
-    StageSpec overload{"overload", smoke ? 1.0 : 2.0, 20000.0, 20000.0,
-                       StageSpec::Shape::kStatic};
-    overload.slow_consumer = true;
-    stages.push_back(overload);
-  }
-
   smash::bench::JsonReporter report("serve");
-  // The overload stage exists to drive the shedding path: it must see
-  // kRejected answers itself (the stale probe's kStale answers are a
-  // separate check and do not count).
-  bool overload_shed = false;
-  for (const auto& stage : stages) {
-    if (!wants(stage.name)) continue;
-    const StageResult r = run_stage(stage, server.port(), hosts);
+  // Adds one stage's entry to the report; false when it lost responses.
+  const auto record = [&report](const StageSpec& stage, const StageResult& r) {
     if (r.received < r.sent) {
       std::fprintf(stderr, "loadgen: stage %s lost %llu responses\n",
                    stage.name.c_str(),
                    static_cast<unsigned long long>(r.sent - r.received));
-      return 1;
+      return false;
     }
-    if (stage.slow_consumer) overload_shed = r.rejected > 0;
     const double achieved =
         r.duration_ms > 0.0
             ? static_cast<double>(r.received) / (r.duration_ms / 1e3)
             : 0.0;
     report.add("serve/" + stage.name, r.duration_ms,
-               {{"offered_qps", r.offered_qps},
+               {{"offered_qps", stage.qps},
                 {"achieved_qps", achieved},
                 {"sent", static_cast<double>(r.sent)},
+                {"unsent", static_cast<double>(r.unsent)},
                 {"received", static_cast<double>(r.received)},
                 {"ok", static_cast<double>(r.ok)},
                 {"stale", static_cast<double>(r.stale)},
@@ -378,57 +346,46 @@ int main(int argc, char** argv) {
                 {"p99_us", r.percentile(0.99)},
                 {"p999_us", r.percentile(0.999)}});
     std::printf(
-        "%-12s offered %7.0f qps  achieved %7.0f qps  p50 %8.1f us  "
-        "p99 %9.1f us  p999 %9.1f us  (%llu ok, %llu stale, %llu rejected)\n",
-        stage.name.c_str(), r.offered_qps, achieved, r.percentile(0.50),
-        r.percentile(0.99), r.percentile(0.999),
+        "%-12s %7.0f ms  offered %7.0f qps  achieved %7.0f qps  p50 %8.1f us  "
+        "p99 %9.1f us  (%llu ok, %llu stale, %llu rejected, %llu unsent)\n",
+        stage.name.c_str(), r.duration_ms, stage.qps, achieved,
+        r.percentile(0.50), r.percentile(0.99),
         static_cast<unsigned long long>(r.ok),
         static_cast<unsigned long long>(r.stale),
-        static_cast<unsigned long long>(r.rejected));
+        static_cast<unsigned long long>(r.rejected),
+        static_cast<unsigned long long>(r.unsent));
+    return true;
+  };
+
+  // Offered load far past what the slow consumer drains: the shedding path
+  // must answer with explicit kRejected frames, never queue without bound.
+  // The stale probe's kStale answers are a separate check and do not count.
+  const StageSpec overload{"overload", 1.0, 20000.0, /*slow_consumer=*/true};
+  const StageResult shed = run_stage(overload, server.port(), hosts);
+  if (!record(overload, shed)) return 1;
+  if (shed.rejected == 0) {
+    std::fprintf(stderr,
+                 "loadgen: the overload stage answered no request kRejected — "
+                 "the shedding path was not exercised\n");
+    return 1;
   }
 
   // Staleness probe: stop the feeder, outwait the SLO, and every answer
   // must flip to kStale — mining that has fallen behind is visible, never
   // silently served as fresh.
-  if (wants("stale_probe")) {
-    stop_feeder.store(true);
-    feeder.join();
-    engine.finish();
-    std::this_thread::sleep_for(std::chrono::milliseconds(
-        static_cast<int>(serve_config.stale_after_ms) + 200));
-    StageSpec probe{"stale_probe", 0.5, 400.0, 400.0,
-                    StageSpec::Shape::kStatic};
-    const StageResult r = run_stage(probe, server.port(), hosts);
-    if (r.stale != r.received) {
-      std::fprintf(stderr,
-                   "loadgen: stalled mining must answer kStale (%llu of %llu)\n",
-                   static_cast<unsigned long long>(r.stale),
-                   static_cast<unsigned long long>(r.received));
-      return 1;
-    }
-    report.add("serve/stale_probe", r.duration_ms,
-               {{"offered_qps", r.offered_qps},
-                {"sent", static_cast<double>(r.sent)},
-                {"received", static_cast<double>(r.received)},
-                {"ok", static_cast<double>(r.ok)},
-                {"stale", static_cast<double>(r.stale)},
-                {"rejected", static_cast<double>(r.rejected)},
-                {"p50_us", r.percentile(0.50)},
-                {"p99_us", r.percentile(0.99)},
-                {"p999_us", r.percentile(0.999)}});
-    std::printf("stale_probe  %llu/%llu answers kStale after the SLO\n",
-                static_cast<unsigned long long>(r.stale),
-                static_cast<unsigned long long>(r.received));
-  } else {
-    stop_feeder.store(true);
-    feeder.join();
-    engine.finish();
-  }
-
-  if (wants("overload") && !overload_shed) {
+  stop_feeder.store(true);
+  feeder.join();
+  engine.finish();
+  std::this_thread::sleep_for(std::chrono::milliseconds(
+      static_cast<int>(serve_config.stale_after_ms) + 200));
+  const StageSpec probe{"stale_probe", 0.5, 400.0};
+  const StageResult stale = run_stage(probe, server.port(), hosts);
+  if (!record(probe, stale)) return 1;
+  if (stale.stale != stale.received) {
     std::fprintf(stderr,
-                 "loadgen: the overload stage answered no request kRejected — "
-                 "the shedding path was not exercised\n");
+                 "loadgen: stalled mining must answer kStale (%llu of %llu)\n",
+                 static_cast<unsigned long long>(stale.stale),
+                 static_cast<unsigned long long>(stale.received));
     return 1;
   }
 

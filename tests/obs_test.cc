@@ -1,11 +1,13 @@
 // Observability layer: registry exactness under concurrency, snapshot
 // isolation, histogram bucket semantics, the Prometheus/JSON exporters
 // (golden strings — exporter output is a contract for scrapers), the
-// trace ring (wrap, concurrency, Chrome JSON), the metrics logger, and
-// the StreamEngine/VerdictService integration.
+// trace ring (wrap, concurrency, Chrome JSON), the metrics logger, the
+// StreamEngine/VerdictService integration, and the export gates of one
+// durable traced replay.
 #include "obs/metrics.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
@@ -18,6 +20,7 @@
 #include "obs/trace.h"
 #include "stream/engine.h"
 #include "stream/verdict.h"
+#include "synth/stream_gen.h"
 #include "whois/whois.h"
 
 namespace smash::obs {
@@ -463,6 +466,112 @@ TEST(VerdictMetrics, PrivateRegistryKeepsPerInstanceStats) {
   b.lookup("z.com");
   EXPECT_EQ(a.stats().queries, 2u);
   EXPECT_EQ(b.stats().queries, 1u);
+}
+
+// verdict.lookup_ns times every kLookupSampleStride-th lookup of each
+// thread, so its count is sum over threads of floor(lookups / stride):
+// never above lookups_total / stride, and exact for fresh threads. A
+// predicate that samples each thread's first lookup (`% stride == 1`)
+// overcounts by one per thread.
+TEST(StreamLookupSampling, LookupNsSamplesOnePerFullStridePerThread) {
+  whois::Registry whois_db;
+  stream::StreamEngine engine(stream::StreamConfig{}, whois_db);
+  const stream::VerdictService service(engine.slot());
+  constexpr std::uint64_t stride = stream::VerdictService::kLookupSampleStride;
+  constexpr std::uint64_t threads = 4;
+  constexpr std::uint64_t per_thread = 3 * stride + 10;
+  std::vector<std::thread> workers;
+  for (std::uint64_t t = 0; t < threads; ++t) {
+    workers.emplace_back([&service] {
+      for (std::uint64_t i = 0; i < per_thread; ++i) {
+        service.lookup("host" + std::to_string(i % 7) + ".example");
+      }
+    });
+  }
+  for (auto& worker : workers) worker.join();
+
+  const auto snap = service.metrics()->snapshot();
+  const std::uint64_t lookups = snap.counter("verdict.lookups_total")->value;
+  const std::uint64_t sampled = snap.histogram("verdict.lookup_ns")->count;
+  ASSERT_EQ(lookups, threads * per_thread);
+  EXPECT_LE(sampled, lookups / stride);
+  EXPECT_EQ(sampled, threads * (per_thread / stride));
+}
+
+// --- export gates of one durable traced replay -------------------------------
+
+// A two-hour scenario replayed through a sync engine with the WAL on
+// (fsync on seal, a checkpoint every 6 of its 12 epochs), the registry on
+// and the global span tracer recording: what the exporters hand an
+// operator must account for that run.
+class StreamObsGates : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    synth::StreamScenarioConfig scenario_config;
+    scenario_config.seed = 2015;
+    scenario_config.duration_s = 2 * 3600;
+    scenario_config.benign_servers = 150;
+    scenario_config.benign_clients = 120;
+    scenario_config.benign_visits = 2500;
+    scenario_config.popular_servers = 2;
+    scenario_config.popular_clients = 250;
+    scenario_config.campaigns = 2;
+    scenario_config.campaign_servers = 6;
+    scenario_config.campaign_bots = 5;
+    scenario_config.poll_interval_s = 300;
+    scenario_config.active_fraction = 0.35;
+    const auto scenario = synth::generate_stream(scenario_config);
+
+    dir_ = std::filesystem::temp_directory_path() /
+           ("smash_obs_gates_" + std::to_string(::getpid()));
+    std::filesystem::remove_all(dir_);
+    stream::StreamConfig config;
+    config.epoch_seconds = 600;
+    config.window_epochs = 12;
+    config.smash.idf_threshold = 200;
+    config.durability_dir = dir_.string();
+    config.fsync_policy = stream::WalFsync::kOnSeal;
+    config.checkpoint_every_epochs = 6;
+
+    Tracer::global().enable(1u << 16);
+    stream::StreamEngine engine(config, scenario.whois);
+    for (const auto& event : scenario.events) synth::ingest_event(engine, event);
+    engine.finish();
+    publications_ = engine.snapshots_published();
+    metrics_ = engine.metrics()->snapshot();
+    trace_json_ = Tracer::global().dump_chrome_json();
+  }
+  void TearDown() override {
+    Tracer::global().disable();
+    std::filesystem::remove_all(dir_);
+  }
+
+  std::filesystem::path dir_;
+  std::uint64_t publications_ = 0;
+  MetricsSnapshot metrics_;
+  std::string trace_json_;
+};
+
+TEST_F(StreamObsGates, DurableReplayTimesEveryPublicationAndFsync) {
+  ASSERT_GT(publications_, 0u);
+  const auto* close = metrics_.histogram("stream.close_to_publish_ms");
+  ASSERT_NE(close, nullptr);
+  EXPECT_EQ(close->count, publications_);
+  const auto* fsync = metrics_.histogram("wal.fsync_ms");
+  ASSERT_NE(fsync, nullptr);
+  EXPECT_GT(fsync->count, 0u) << "wal.fsync_ms empty on an on_seal durable run";
+}
+
+TEST_F(StreamObsGates, TraceShowsTheWholeDataflow) {
+  EXPECT_TRUE(json_balanced(trace_json_));
+  for (const char* name :
+       {"stream.ingest", "stream.epoch_seal", "stream.assemble", "stream.mine",
+        "mine.join", "louvain.sweep", "stream.publish", "wal.fsync",
+        "ckpt.install"}) {
+    EXPECT_NE(trace_json_.find(std::string("\"name\":\"") + name + "\""),
+              std::string::npos)
+        << "trace has no \"" << name << "\" span";
+  }
 }
 
 }  // namespace

@@ -1,9 +1,12 @@
 // End-to-end integration tests: full pipeline + evaluation on the tiny
 // synthetic world. These assert the paper's qualitative claims, not exact
 // numbers: campaigns are found, noise herds are the FPs, plain benign
-// servers are not flagged, thresholds trade recall for precision.
+// servers are not flagged, thresholds trade recall for precision. Plus
+// the bounded-memory join at week scale.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <set>
 
 #include "core/evaluation.h"
@@ -192,6 +195,43 @@ TEST_F(PipelineOnTinyWorld, DetectedServersDeduplicated) {
   const auto multi_servers = result_->detected_servers(false);
   std::set<std::uint32_t> unique(multi_servers.begin(), multi_servers.end());
   EXPECT_EQ(unique.size(), multi_servers.size());
+}
+
+// A 0.12-scale 2012week world with the postings caps inert, mined in RAM
+// and then under a join budget of a quarter of that run's peak postings
+// residency, at 1 and 4 threads: the budgeted runs must reproduce the
+// in-RAM kept set and campaigns exactly, within the budget, with no cap
+// firing.
+TEST(BudgetedWeek, QuarterPeakBudgetReproducesInRamRun) {
+  const auto ds =
+      synth::generate_world(synth::data2012week().scaled(0.12));
+  SmashConfig base;
+  base.num_threads = 1;
+  base.join_postings_cap = std::numeric_limits<std::uint32_t>::max();
+  base.file_postings_cap = std::numeric_limits<std::uint32_t>::max();
+  const SmashResult in_ram = SmashPipeline(base).run(ds.trace, ds.whois);
+  ASSERT_FALSE(in_ram.postings_budget_exceeded());
+  ASSERT_FALSE(in_ram.campaigns.empty());
+  const std::size_t budget =
+      std::max<std::size_t>(in_ram.peak_resident_postings_bytes() / 4, 1);
+
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    SmashConfig budgeted = base;
+    budgeted.num_threads = threads;
+    budgeted.join_memory_budget_bytes = budget;
+    const SmashResult result = SmashPipeline(budgeted).run(ds.trace, ds.whois);
+    EXPECT_FALSE(result.postings_budget_exceeded());
+    EXPECT_LE(result.peak_resident_postings_bytes(), budget);
+    EXPECT_GT(result.join_shard_passes(), in_ram.join_shard_passes());
+    EXPECT_EQ(result.pre.kept, in_ram.pre.kept);
+    ASSERT_EQ(result.campaigns.size(), in_ram.campaigns.size());
+    for (std::size_t c = 0; c < result.campaigns.size(); ++c) {
+      EXPECT_EQ(result.campaigns[c].servers, in_ram.campaigns[c].servers);
+      EXPECT_EQ(result.campaigns[c].involved_clients,
+                in_ram.campaigns[c].involved_clients);
+    }
+  }
 }
 
 }  // namespace

@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
-"""Validate a BENCH_serve.json written by bench/loadgen.
+"""Validate the report written by bench/loadgen (the serving gates).
 
 Checks (see docs/SERVING.md):
   - the file is the JsonReporter shape (``benchmark: "serve"`` with an
     ``entries`` list);
-  - at least three load stages are present, each reporting offered_qps,
-    achieved_qps, the sent/received/ok/stale/rejected outcome counts, and
-    the p50/p99/p999 latency percentiles;
+  - both gate stages, ``serve/overload`` and ``serve/stale_probe``, are
+    present, each reporting offered_qps, the sent/received/ok/stale/rejected
+    outcome counts, and the p50/p99/p999 latency percentiles;
   - no stage lost responses (received == sent: every request got an
     explicit answer, shed or not);
   - the ``serve/overload`` stage itself shows explicit shedding — a
@@ -14,13 +14,14 @@ Checks (see docs/SERVING.md):
     answers, never as silently dropped or endlessly queued requests; the
     stale probe's kStale answers are a separate property and do not
     satisfy this check;
+  - every ``serve/stale_probe`` answer is kStale;
   - the serve/metrics_summary entry agrees with the stages: the server's
     own rejected_total/stale_total counters corroborate the shedding the
     client observed.
 
 Exits non-zero with a message on the first violation.
 
-Usage: check_serve.py BENCH_serve.json [--min-stages N]
+Usage: check_serve.py REPORT.json
 """
 
 import argparse
@@ -48,7 +49,6 @@ def fail(message):
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("path")
-    parser.add_argument("--min-stages", type=int, default=3)
     args = parser.parse_args()
 
     try:
@@ -72,8 +72,9 @@ def main():
         elif name.startswith("serve/"):
             stages.append(entry)
 
-    if len(stages) < args.min_stages:
-        fail(f"only {len(stages)} load stages, need >= {args.min_stages}")
+    names = sorted(stage.get("name") for stage in stages)
+    if names != ["serve/overload", "serve/stale_probe"]:
+        fail(f"stages are {names}, expected serve/overload and serve/stale_probe")
 
     shed_rejected = 0
     shed_stale = 0
@@ -96,13 +97,17 @@ def main():
         shed_rejected += stage["rejected"]
         shed_stale += stage["stale"]
 
-    overload = next((s for s in stages if s["name"] == "serve/overload"), None)
-    if overload is None:
-        fail("serve/overload stage is missing")
+    overload = next(s for s in stages if s["name"] == "serve/overload")
     if overload["rejected"] == 0:
         fail(
             f'serve/overload answered {overload["ok"]:.0f} ok and 0 rejected '
             "— the shedding path was not exercised"
+        )
+    probe = next(s for s in stages if s["name"] == "serve/stale_probe")
+    if probe["received"] == 0 or probe["stale"] != probe["received"]:
+        fail(
+            f'serve/stale_probe answered {probe["stale"]:.0f} of '
+            f'{probe["received"]:.0f} kStale after the staleness SLO'
         )
 
     if summary is None:
@@ -128,7 +133,7 @@ def main():
         fail("no snapshots were published under load")
 
     print(
-        f"check_serve: ok — {len(stages)} stages, "
+        "check_serve: ok — "
         f'overload shed {overload["rejected"]:.0f} of '
         f'{overload["received"]:.0f}, '
         f"{shed_rejected:.0f} rejected + {shed_stale:.0f} stale in all, "

@@ -10,19 +10,17 @@
 // Serving speed is measured by perfbench's serve_mixed workload, not here.
 //
 // Requests go out on the stage's schedule, never gated on responses, and
-// each latency is measured from the request's scheduled send time. The
-// sender never blocks past the stage's end (a send deadline), so a server
-// that has paused reading cannot stretch the stage, and the backlog then
-// drains at full speed. Each stage reports its outcome counts (ok / stale
-// / rejected), which tools/check_serve.py checks together with the
-// server's own counters.
+// each latency is measured from the request's scheduled send time. Once
+// the sender is done the client's receive buffer is raised, so the
+// backlog drains at full speed. Each stage reports its outcome counts
+// (ok / stale / rejected), which tools/check_serve.py checks together
+// with the server's own counters.
 //
 // Usage: loadgen <report.json> [--obs-dump <dir>]
 //   --obs-dump: write the combined engine+serve registry (metrics.prom /
 //               metrics.json) after the run, for tools/smash_stats.
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -36,7 +34,6 @@
 #include <variant>
 #include <vector>
 
-#include <poll.h>
 #include <sys/socket.h>
 
 #include "bench_common.h"
@@ -112,9 +109,6 @@ struct StageSpec {
 struct StageResult {
   std::uint64_t sent = 0, received = 0;
   std::uint64_t ok = 0, stale = 0, rejected = 0;
-  // Scheduled requests the send deadline cut: the server had stopped
-  // reading (its pending-response bound) until the stage's end.
-  std::uint64_t unsent = 0;
   double duration_ms = 0.0;
   std::vector<double> latency_us;  // per response, from scheduled send
 
@@ -133,20 +127,6 @@ constexpr int kSlowConsumerRcvbufBytes = 4096;
 // SO_RCVBUF once the sender has stopped, so the backlog drains at full
 // speed: through the 4 KiB window it moves only ~1.3k responses/s.
 constexpr int kDrainRcvbufBytes = 1 << 20;
-
-// Waits until `fd` accepts more bytes or `deadline` passes; true when
-// writable. A request frame is a few dozen bytes, far below the space a
-// writable TCP socket has free, so the send that follows does not block.
-bool writable_before(int fd, Clock::time_point deadline) {
-  for (;;) {
-    const auto left = std::chrono::ceil<std::chrono::milliseconds>(
-        deadline - Clock::now());
-    pollfd pfd{fd, POLLOUT, 0};
-    const int ready = ::poll(&pfd, 1, std::max<int>(0, left.count()));
-    if (ready > 0) return (pfd.revents & POLLOUT) != 0;
-    if (ready == 0 || errno != EINTR) return false;
-  }
-}
 
 // Runs one stage over a fresh connection. Sender and receiver share the
 // socket: the sender paces scheduled sends (bursting when behind) until
@@ -214,9 +194,6 @@ StageResult run_stage(const StageSpec& stage, std::uint16_t port,
   });
 
   const auto start = Clock::now();
-  const auto stage_end =
-      start + std::chrono::duration_cast<Clock::duration>(
-                  std::chrono::duration<double>(stage.duration_s));
   std::uint64_t id = 0;
   std::size_t host_i = 0;
   while (id < capacity) {
@@ -225,7 +202,6 @@ StageResult run_stage(const StageSpec& stage, std::uint16_t port,
                                      static_cast<double>(id) / stage.qps));
     // Behind schedule? No sleep — send immediately (burst catch-up).
     std::this_thread::sleep_until(due);
-    if (!writable_before(client.fd(), stage_end)) break;
     scheduled[id] = due;
     smash::serve::RequestFrame request;
     request.type = smash::serve::FrameType::kLookup;
@@ -243,7 +219,6 @@ StageResult run_stage(const StageSpec& stage, std::uint16_t port,
   }
   receiver.join();
   result.sent = id;
-  result.unsent = capacity - id;
   result.duration_ms = std::chrono::duration<double, std::milli>(
                            Clock::now() - start)
                            .count();
@@ -337,7 +312,6 @@ int main(int argc, char** argv) {
                {{"offered_qps", stage.qps},
                 {"achieved_qps", achieved},
                 {"sent", static_cast<double>(r.sent)},
-                {"unsent", static_cast<double>(r.unsent)},
                 {"received", static_cast<double>(r.received)},
                 {"ok", static_cast<double>(r.ok)},
                 {"stale", static_cast<double>(r.stale)},
@@ -347,13 +321,12 @@ int main(int argc, char** argv) {
                 {"p999_us", r.percentile(0.999)}});
     std::printf(
         "%-12s %7.0f ms  offered %7.0f qps  achieved %7.0f qps  p50 %8.1f us  "
-        "p99 %9.1f us  (%llu ok, %llu stale, %llu rejected, %llu unsent)\n",
+        "p99 %9.1f us  (%llu ok, %llu stale, %llu rejected)\n",
         stage.name.c_str(), r.duration_ms, stage.qps, achieved,
         r.percentile(0.50), r.percentile(0.99),
         static_cast<unsigned long long>(r.ok),
         static_cast<unsigned long long>(r.stale),
-        static_cast<unsigned long long>(r.rejected),
-        static_cast<unsigned long long>(r.unsent));
+        static_cast<unsigned long long>(r.rejected));
     return true;
   };
 

@@ -2,7 +2,7 @@
 """A/B comparison of two commits on the repository benchmark (perfbench).
 
     python3 tools/ab_perfbench.py BASE [CHANGE] [--workload W ...] [--pairs 10]
-        [--seconds S] [--seed N] [--smoke] [--work-dir DIR]
+        [--smoke] [--work-dir DIR]
     python3 tools/ab_perfbench.py --selftest
 
 Run from inside the git checkout. Each revision (CHANGE defaults to HEAD) is
@@ -10,23 +10,25 @@ extracted with `git archive REV | tar -x` into its own directory under the
 work directory, so neither a worktree nor a stale .bench_build/ is shared;
 each copy builds its own perfbench on a first smoke run. The tool then runs
 `perfbench/run.py --trace 0` in ABBA-ordered pairs (pair i runs the base
-first when i is even, the change first when it is odd), both sides of a pair
-on the same seed, and prints per workload x end-to-end metric each side's
+first when i is even, the change first when it is odd), both sides of pair i
+on seed i + 1, and prints per workload x end-to-end metric each side's
 median and quartile spread (IQR), the change's wins, losses and ties over
 the pairs, and one verdict:
 
-  gain        over at least 10 pairs, the change wins at least 9/10 of them
-              and its median is better than the base's by more than the
-              base's IQR;
+  gain        over at least 10 pairs, the change wins at least 9/10 of them,
+              its median is better than the base's by more than the base's
+              IQR, and it failed no more operations than the base in all;
   regression  the change's median is worse than the base's by more than the
               metric's bound;
   unresolved  the base's IQR, relative to its median, exceeds the bound;
   no change   none of the above.
 
-Metric names, `better` and `bound` come from BENCHMARK.json; the run length
-defaults to its `run_seconds`. The exit code is non-zero when any run fails
-or reports a failed correctness check, and 0 otherwise, whatever the
-verdicts.
+Metric names, `better`, `bound` and the run length (`run_seconds`) come from
+BENCHMARK.json; --smoke runs perfbench's scaled-down inputs for 2 s instead,
+as a quick check of the tool and both builds. Each workload's failed
+operations (perfbench's `failed`), summed over the pairs, are printed per
+side. The exit code is non-zero when any run fails or reports a failed
+correctness check, and 0 otherwise, whatever the verdicts.
 """
 
 import argparse
@@ -42,6 +44,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("batch_day", "stream_week", "serve_mixed")
 GAIN_WIN_SHARE = 0.9
 GAIN_MIN_PAIRS = 10
+SMOKE_SECONDS = 2
 
 
 # --- statistics (pure) -------------------------------------------------------
@@ -66,11 +69,13 @@ def pair_order(i):
     return ("base", "change") if i % 2 == 0 else ("change", "base")
 
 
-def compare(base, change, better, bound):
+def compare(base, change, better, bound, base_failed=0, change_failed=0):
     """Summary and verdict of one metric over matched pairs of runs.
 
     `base[i]` and `change[i]` come from pair i; `better` is "lower" or
-    "higher"; `bound` is the metric's relative regression bound.
+    "higher"; `bound` is the metric's relative regression bound;
+    `base_failed` and `change_failed` are each side's failed operations
+    over all the pairs: a change that fails more is never a gain.
     """
     sign = 1.0 if better == "higher" else -1.0
     wins = sum(1 for a, b in zip(base, change) if sign * (b - a) > 0)
@@ -80,7 +85,8 @@ def compare(base, change, better, bound):
     base_iqr = q3 - q1
     gain = sign * (change_median - base_median)  # > 0: the change is better
     pairs = len(base)
-    if pairs >= GAIN_MIN_PAIRS and wins >= GAIN_WIN_SHARE * pairs and gain > base_iqr:
+    if (pairs >= GAIN_MIN_PAIRS and wins >= GAIN_WIN_SHARE * pairs and gain > base_iqr
+            and change_failed <= base_failed):
         verdict = "gain"
     elif relative(-gain, base_median) > bound:
         verdict = "regression"
@@ -121,7 +127,8 @@ def extract(rev, work_dir):
 
 
 def run_bench(checkout, workload, seed, seconds, smoke):
-    """Runs perfbench once; its metrics dict, or None on any failure."""
+    """Runs perfbench once; (metrics dict, failed operations), or None on
+    any failure."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"] + (["--smoke"] if smoke else [])
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
@@ -134,22 +141,25 @@ def run_bench(checkout, workload, seed, seconds, smoke):
         log(done.stdout[-3000:] + done.stderr[-3000:])
         log("ab_perfbench: %s in %s failed (exit %d)" % (workload, checkout, done.returncode))
         return None
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    return {name: m["value"] for name, m in result["metrics"].items()}, result["failed"]
 
 
-def print_table(workloads, metrics, values):
+def print_table(workloads, metrics, values, failed):
     print("%-12s %-16s %14s %10s %14s %10s %7s %8s  %s" % (
         "workload", "metric", "base median", "base IQR", "change median", "change IQR",
         "delta", "W/L/T", "verdict"))
     for workload in workloads:
+        base_failed, change_failed = failed[workload]["base"], failed[workload]["change"]
         for m in metrics:
             base = values[workload]["base"][m["name"]]
             change = values[workload]["change"][m["name"]]
-            c = compare(base, change, m["better"], m["bound"])
+            c = compare(base, change, m["better"], m["bound"], base_failed, change_failed)
             print("%-12s %-16s %14.6g %10.3g %14.6g %10.3g %+6.1f%% %8s  %s" % (
                 workload, m["name"], c["base_median"], c["base_iqr"], c["change_median"],
                 c["change_iqr"], 100.0 * c["delta"],
                 "%d/%d/%d" % (c["wins"], c["losses"], c["ties"]), c["verdict"]))
+        print("%-12s failed operations over all pairs: base %d, change %d" % (
+            workload, base_failed, change_failed))
 
 
 def main():
@@ -159,9 +169,8 @@ def main():
     parser.add_argument("--workload", action="append", choices=WORKLOADS,
                         help="repeatable; default: every workload")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, help="default: BENCHMARK.json run_seconds")
-    parser.add_argument("--seed", type=int, default=1, help="seed of pair 0; pair i uses seed+i")
-    parser.add_argument("--smoke", action="store_true", help="perfbench's scaled-down inputs")
+    parser.add_argument("--smoke", action="store_true",
+                        help="perfbench's scaled-down inputs, %d s runs" % SMOKE_SECONDS)
     parser.add_argument("--work-dir", help="where the revisions are extracted (reused)")
     parser.add_argument("--selftest", action="store_true", help="check the statistics and exit")
     args = parser.parse_args()
@@ -173,7 +182,7 @@ def main():
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         spec = json.load(f)
     metrics = spec["end_to_end"]
-    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
+    seconds = SMOKE_SECONDS if args.smoke else spec["run_seconds"]
     workloads = args.workload or list(WORKLOADS)
     work_dir = args.work_dir or tempfile.mkdtemp(prefix="ab_perfbench.")
     sides = {}
@@ -181,21 +190,25 @@ def main():
         commit, checkout = extract(rev, work_dir)
         log("ab_perfbench: %s = %s in %s" % (side, commit, checkout))
         # The first run builds this copy's perfbench and checks it runs.
-        if run_bench(checkout, workloads[0], args.seed, 1, True) is None:
+        if run_bench(checkout, workloads[0], 1, SMOKE_SECONDS, True) is None:
             return 1
         sides[side] = checkout
 
     values = {w: {side: {m["name"]: [] for m in metrics} for side in sides} for w in workloads}
+    failed = {w: {side: 0 for side in sides} for w in workloads}
     for i in range(args.pairs):
         for workload in workloads:
             for side in pair_order(i):
-                got = run_bench(sides[side], workload, args.seed + i, seconds, args.smoke)
+                got = run_bench(sides[side], workload, i + 1, seconds, args.smoke)
                 if got is None:
                     return 1
+                got, failed_ops = got
                 for m in metrics:
                     values[workload][side][m["name"]].append(got[m["name"]])
-                log("pair %d %s %s: %s" % (i, workload, side, json.dumps(got, sort_keys=True)))
-    print_table(workloads, metrics, values)
+                failed[workload][side] += failed_ops
+                log("pair %d %s %s: failed %d %s" % (
+                    i, workload, side, failed_ops, json.dumps(got, sort_keys=True)))
+    print_table(workloads, metrics, values, failed)
     return 0
 
 
@@ -244,6 +257,10 @@ def selftest():
            "30% less of a higher-is-better metric is a regression")
     expect(compare(base, [v * 1.1 for v in base], "higher", 0.25)["verdict"] == "gain",
            "10% more of a higher-is-better metric in every pair is a gain")
+    expect(compare(base, [v * 1.1 for v in base], "higher", 0.25, 3, 3)["verdict"] == "gain",
+           "a gain stands when the change fails as many operations as the base")
+    expect(compare(base, [v * 1.1 for v in base], "higher", 0.25, 3, 4)["verdict"] == "no change",
+           "a gain with more failed operations than the base is no change")
     expect(compare([1.0] * 10, [0.985] * 10, "higher", 0.01)["verdict"] == "regression",
            "a 1.5% drop of ok_share against its 0.01 bound is a regression")
 

@@ -1,21 +1,14 @@
 // Observability export producer (docs/OBSERVABILITY.md): one durable sync
 // StreamEngine (WAL with fsync on seal, a checkpoint every 6 epochs)
-// replays a timestamped scenario with the metrics registry, the periodic
-// JSONL logger and the span tracer on, checks the exports against the
-// engine's own counts, and writes metrics.prom, metrics.json,
-// metrics.jsonl and trace.json into <dir> for tools/check_trace.py and
-// smash_stats. It times nothing: the stream's speed is measured by
-// perfbench's stream_week workload.
+// replays a day-long timestamped scenario with the metrics registry, the
+// periodic JSONL logger and the span tracer on, and writes metrics.prom,
+// metrics.json, metrics.jsonl and trace.json into <dir> for
+// tools/check_trace.py and smash_stats. It times and gates nothing: the
+// exports' counts are checked by the StreamObsGates tests
+// (tests/obs_test.cc), the stream's speed by perfbench's stream_week.
 //
-// Exits 1 unless stream.close_to_publish_ms counts every publication,
-// wal.fsync_ms is non-empty, and the trace holds one span of every stage
-// of an epoch's dataflow (ingest, seal, assemble, mine, join, Louvain,
-// publish, WAL fsync, checkpoint install).
-//
-// Usage: obs_export <dir> [--smoke]
-//   --smoke: a two-hour scenario (seconds); default a day-long one.
+// Usage: obs_export <dir>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -28,16 +21,16 @@
 
 namespace {
 
-smash::synth::StreamScenarioConfig scenario_config(bool smoke) {
+smash::synth::StreamScenarioConfig scenario_config() {
   smash::synth::StreamScenarioConfig config;
   config.seed = 2015;
-  config.duration_s = smoke ? 2 * 3600 : 86400;
-  config.benign_servers = smoke ? 150 : 1200;
-  config.benign_clients = smoke ? 120 : 800;
-  config.benign_visits = smoke ? 2500 : 40000;
-  config.popular_servers = smoke ? 2 : 6;
+  config.duration_s = 86400;
+  config.benign_servers = 1200;
+  config.benign_clients = 800;
+  config.benign_visits = 40000;
+  config.popular_servers = 6;
   config.popular_clients = 250;
-  config.campaigns = smoke ? 2 : 6;
+  config.campaigns = 6;
   config.campaign_servers = 6;
   config.campaign_bots = 5;
   config.poll_interval_s = 300;
@@ -54,28 +47,17 @@ bool write_file(const std::filesystem::path& path, const std::string& body) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string dump_dir;
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (argv[i][0] == '-' || !dump_dir.empty()) {
-      dump_dir.clear();
-      break;
-    } else {
-      dump_dir = argv[i];
-    }
-  }
-  if (dump_dir.empty()) {
-    std::fprintf(stderr, "usage: %s <dir> [--smoke]\n", argv[0]);
+  if (argc != 2 || argv[1][0] == '-') {
+    std::fprintf(stderr, "usage: %s <dir>\n", argv[0]);
     return 1;
   }
+  const std::string dump_dir = argv[1];
   std::filesystem::create_directories(dump_dir);
-  const auto scenario = smash::synth::generate_stream(scenario_config(smoke));
+  const auto scenario = smash::synth::generate_stream(scenario_config());
 
   smash::stream::StreamConfig config;
-  config.epoch_seconds = smoke ? 600 : 3600;
-  config.window_epochs = smoke ? 12 : 24;
+  config.epoch_seconds = 3600;
+  config.window_epochs = 24;
   config.smash.idf_threshold = 200;  // popular_clients = 250 get filtered
   config.durability_dir =
       (std::filesystem::temp_directory_path() / "smash_obs_export").string();
@@ -104,33 +86,6 @@ int main(int argc, char** argv) {
   std::filesystem::remove_all(config.durability_dir);
 
   const auto snap = registry->snapshot();
-  const auto* close_hist = snap.histogram("stream.close_to_publish_ms");
-  if (close_hist == nullptr || close_hist->count != publications) {
-    std::fprintf(stderr,
-                 "obs gate: stream.close_to_publish_ms count %llu != %llu "
-                 "publications\n",
-                 close_hist ? static_cast<unsigned long long>(close_hist->count)
-                            : 0ull,
-                 static_cast<unsigned long long>(publications));
-    return 1;
-  }
-  const auto* fsync_hist = snap.histogram("wal.fsync_ms");
-  if (fsync_hist == nullptr || fsync_hist->count == 0) {
-    std::fprintf(stderr, "obs gate: wal.fsync_ms histogram empty on a "
-                         "durable on_seal run\n");
-    return 1;
-  }
-  for (const char* span_name :
-       {"stream.ingest", "stream.epoch_seal", "stream.assemble", "stream.mine",
-        "mine.join", "louvain.sweep", "stream.publish", "wal.fsync",
-        "ckpt.install"}) {
-    if (trace_json.find(std::string("\"name\":\"") + span_name + "\"") ==
-        std::string::npos) {
-      std::fprintf(stderr, "obs gate: trace has no \"%s\" span\n", span_name);
-      return 1;
-    }
-  }
-
   const std::filesystem::path dir(dump_dir);
   if (!write_file(dir / "metrics.prom", smash::obs::render_prometheus(snap)) ||
       !write_file(dir / "metrics.json", smash::obs::render_json(snap) + "\n") ||
@@ -138,11 +93,9 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "obs export: failed writing to %s\n", dump_dir.c_str());
     return 1;
   }
-  std::printf("obs export: %llu publications, %llu fsyncs, %llu spans "
-              "(%llu dropped); metrics.prom, metrics.json, metrics.jsonl, "
-              "trace.json in %s\n",
+  std::printf("obs export: %llu publications, %llu spans (%llu dropped); "
+              "metrics.prom, metrics.json, metrics.jsonl, trace.json in %s\n",
               static_cast<unsigned long long>(publications),
-              static_cast<unsigned long long>(fsync_hist->count),
               static_cast<unsigned long long>(spans),
               static_cast<unsigned long long>(dropped),
               dump_dir.c_str());
